@@ -228,6 +228,16 @@ def cmd_pq(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lusztig-cones",
@@ -235,28 +245,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, word=False, point=False):
+    def add(name, func, word=False, point=False, formats=("text", "json")):
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, required=True)
         if word:
             p.add_argument("--word", required=True)
         if point:
             p.add_argument("--point", required=True)
-        p.add_argument("--format", choices=["text", "json", "svg"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out")
         p.set_defaults(func=func)
         return p
 
     add("roots", cmd_roots, word=True)
     add("chambers", cmd_chambers, word=True)
-    add("render", cmd_render, word=True)
+    add("render", cmd_render, word=True, formats=("text", "svg"))
     add("cone-matrix", cmd_cone_matrix, word=True)
     add("spanning", cmd_spanning, word=True)
     p = add("verify", cmd_verify)
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     add("member", cmd_member, word=True, point=True)
     add("decompose", cmd_decompose, word=True, point=True)
     add("enumerate", cmd_enumerate)

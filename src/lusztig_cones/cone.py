@@ -1,9 +1,19 @@
 """The Lusztig cone of a reduced word, as an exact integer simplicial cone.
 
 The defining matrix has one unit row per simple root and one row per
-minimal pair of equal letters (-1 at the pair, +1 at the letters between
-that are adjacent in the Dynkin diagram).  Its inverse is computed over
-the integers; the columns are the spanning vectors of the cone.
+bounded chamber of the wiring diagram, i.e. per minimal pair of equal
+letters: -1 at the chamber's left and right crossings, +1 at the
+crossings directly above and below it (the letters in between that are
+adjacent in the Dynkin diagram).  The rows come from the word's one
+wiring trace; in root coordinates a chamber row has at most six nonzeros.
+
+The theorem is verified by certificate: for integer columns V,
+``certify_inverse`` checks every entry of M·V = I using only each row's
+nonzeros, which for square integer matrices proves V = M^-1 and
+det M = +-1.  Fraction-free (Bareiss) inversion, ``exact_inverse`` and
+``invert_unimodular``, stays as the independent oracle of the tests and
+as the fallback that finds the true inverse column when a certificate
+fails.
 
 Vectors live in two coordinate systems: *position* coordinates, aligned
 with the letters of the word, and *root* coordinates, indexed by the
@@ -14,8 +24,12 @@ coordinates are a view through the word's root ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Union
 
+from .wiring import build_wiring, chambers
 from .words import ReducedWord, all_positive_roots, root_ordering
 
 
@@ -48,7 +62,7 @@ class RootVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        k = len(all_positive_roots(self.n))
+        k = self.n * (self.n + 1) // 2
         if len(self.values) != k:
             raise ValueError(f"expected {k} entries, got {len(self.values)}")
 
@@ -57,18 +71,26 @@ class RootVector:
 
     @classmethod
     def from_dict(cls, n: int, entries: dict) -> "RootVector":
-        roots = all_positive_roots(n)
-        unknown = set(entries) - set(roots)
+        values = [0] * (n * (n + 1) // 2)
+        unknown = []
+        for root, v in entries.items():
+            try:
+                values[_root_index(n, root)] = v
+            except (KeyError, TypeError, ValueError):
+                unknown.append(root)
         if unknown:
             raise ValueError(f"not positive roots of A_{n}: {sorted(unknown)}")
-        return cls(n, tuple(entries.get(r, 0) for r in roots))
+        return cls(n, tuple(values))
 
     @classmethod
     def from_positions(cls, word: ReducedWord, coords) -> "RootVector":
         coords = tuple(coords)
         if len(coords) != word.k:
             raise ValueError(f"expected {word.k} coordinates, got {len(coords)}")
-        return cls.from_dict(word.n, dict(zip(root_ordering(word), coords)))
+        values = [0] * word.k
+        for root, x in zip(root_ordering(word), coords):
+            values[_root_index(word.n, root)] = x
+        return cls(word.n, tuple(values))
 
     def to_positions(self, word: ReducedWord) -> tuple[int, ...]:
         if word.n != self.n:
@@ -98,48 +120,90 @@ class ConeMatrix:
     labels: tuple[RowLabel, ...]
     rows: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def index(self) -> dict:
+        """Row label -> row number."""
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def row(self, label: RowLabel) -> tuple[int, ...]:
-        return self.rows[self.labels.index(label)]
+        return self.rows[self.index[label]]
 
 
-def minimal_pairs(word: ReducedWord) -> list[tuple[int, int]]:
-    """Minimal pairs of equal letters, (left, right), by left position."""
-    positions_of: dict[int, list[int]] = {}
-    for j, i in enumerate(word.letters, start=1):
-        positions_of.setdefault(i, []).append(j)
-    pairs = []
-    for positions in positions_of.values():
-        pairs.extend(zip(positions, positions[1:]))
-    pairs.sort()
-    return pairs
+def root_rows(n: int, chamber_list) -> tuple[tuple[RowLabel, ...], tuple]:
+    """Labels and sparse rows of the defining matrix in root coordinates.
+
+    ``chamber_list`` is ``wiring.chambers`` of the word.  Each row is a
+    tuple of (index into ``RootVector.values``, coefficient) pairs: the unit
+    row of each simple root (j, j+1), then one row per chamber in the given
+    order, -1 at its left and right crossings and +1 at the crossings above
+    and below it.
+    """
+    labels: list[RowLabel] = [SimpleRootLabel(j) for j in range(1, n + 1)]
+    rows = [((_root_index(n, (j, j + 1)), 1),) for j in range(1, n + 1)]
+    for ch in chamber_list:
+        labels.append(ChamberLabel(ch.left_pos, ch.right_pos))
+        rows.append(
+            ((_root_index(n, ch.left.strings), -1), (_root_index(n, ch.right.strings), -1))
+            + tuple((_root_index(n, c.strings), 1) for c in ch.above + ch.below)
+        )
+    return tuple(labels), tuple(rows)
 
 
 def cone_matrix(word: ReducedWord) -> ConeMatrix:
     """Rows: simple roots 1..n (unit vectors), then chamber rows by left
-    position of the minimal pair."""
-    n, k = word.n, word.k
-    roots = root_ordering(word)
-    labels: list[RowLabel] = []
-    rows: list[tuple[int, ...]] = []
-    for j in range(1, n + 1):
-        pos = roots.index((j, j + 1))
-        labels.append(SimpleRootLabel(j))
-        rows.append(tuple(1 if idx == pos else 0 for idx in range(k)))
-    for s, s2 in minimal_pairs(word):
-        i = word.letters[s - 1]
-        row = [0] * k
-        row[s - 1] = row[s2 - 1] = -1
-        for p in range(s + 1, s2):
-            if abs(word.letters[p - 1] - i) == 1:
-                row[p - 1] = 1
-        labels.append(ChamberLabel(s, s2))
-        rows.append(tuple(row))
-    return ConeMatrix(word=word, labels=tuple(labels), rows=tuple(rows))
+    position of the minimal pair, in position coordinates."""
+    diagram = build_wiring(word)
+    labels, rows = root_rows(word.n, chambers(diagram))
+    position = {_root_index(word.n, c.strings): c.pos - 1 for c in diagram.crossings}
+    dense = []
+    for row in rows:
+        values = [0] * word.k
+        for i, a in row:
+            values[position[i]] = a
+        dense.append(tuple(values))
+    return ConeMatrix(word=word, labels=labels, rows=tuple(dense))
+
+
+def certify_inverse(rows, columns) -> bool:
+    """Whether the integer ``columns`` are exactly the inverse of the square
+    matrix with the given sparse ``rows``, and have no negative entry.
+
+    ``rows[r]`` lists the (column, coefficient) pairs of row r's nonzeros;
+    ``columns[c][i]`` is entry (i, c) of the candidate inverse V.  Every
+    entry of M·V is compared with the identity, at O(k^2·nnz) small-integer
+    operations.  For square integer matrices M·V = I proves V = M^-1 and
+    det M = +-1.
+    """
+    k = len(rows)
+    if len(columns) != k or any(len(col) != k for col in columns):
+        return False
+    if any(min(col) < 0 for col in columns):
+        return False
+    v_rows = list(zip(*columns))  # v_rows[i][c] = columns[c][i]
+    for r, row in enumerate(rows):
+        acc = repeat(0, k)
+        for i, a in row:
+            if a == 1:
+                acc = map(add, acc, v_rows[i])
+            elif a == -1:
+                acc = map(sub, acc, v_rows[i])
+            else:
+                acc = map(add, acc, map(mul, repeat(a, k), v_rows[i]))
+        acc = list(acc)
+        acc[r] -= 1
+        if any(acc):
+            return False
+    return True
 
 
 class UnimodularityError(ArithmeticError):
     """The defining matrix failed to invert to a nonnegative integer matrix
     of determinant +-1 (signals an implementation bug)."""
+
+
+class CertificateError(ArithmeticError):
+    """The closed-form columns failed a check that the exact inverse says
+    they pass (signals an implementation bug)."""
 
 
 def exact_inverse(rows) -> tuple[int, list[list[int]]]:
@@ -186,7 +250,7 @@ class SpanningSet:
     columns: tuple[tuple[int, ...], ...]  # columns[l] spans label labels[l]
 
     def vector(self, label: RowLabel) -> RootVector:
-        idx = self.matrix.labels.index(label)
+        idx = self.matrix.index[label]
         return RootVector.from_positions(self.matrix.word, self.columns[idx])
 
     def root_vectors(self) -> dict:
@@ -196,18 +260,15 @@ class SpanningSet:
 def invert_unimodular(M: ConeMatrix) -> SpanningSet:
     """Exact inverse of the defining matrix, with the unimodularity and
     nonnegativity guarantees checked, never assumed."""
-    k = M.word.k
     det, inv = exact_inverse(M.rows)
     if det not in (1, -1):
         raise UnimodularityError(f"determinant {det} is not +-1")
-    if any(x < 0 for row in inv for x in row):
+    columns = tuple(zip(*inv))
+    if any(x < 0 for col in columns for x in col):
         raise UnimodularityError("inverse has a negative entry")
-    for i in range(k):
-        for j in range(k):
-            acc = sum(M.rows[i][c] * inv[c][j] for c in range(k))
-            if acc != int(i == j):
-                raise UnimodularityError("inverse check failed")
-    columns = tuple(tuple(inv[r][c] for r in range(k)) for c in range(k))
+    sparse = [tuple((c, a) for c, a in enumerate(row) if a) for row in M.rows]
+    if not certify_inverse(sparse, columns):
+        raise UnimodularityError("inverse check failed")
     return SpanningSet(matrix=M, det=det, columns=columns)
 
 
@@ -215,14 +276,22 @@ def spanning_set(word: ReducedWord) -> SpanningSet:
     return invert_unimodular(cone_matrix(word))
 
 
+def _check_rank(word: ReducedWord, a: RootVector) -> None:
+    if word.n != a.n:
+        raise ValueError(f"rank mismatch: {word.n} vs {a.n}")
+
+
+def _rows_at(n: int, chamber_list, a: RootVector) -> dict:
+    labels, rows = root_rows(n, chamber_list)
+    return {
+        lab: sum(c * a.values[i] for i, c in row) for lab, row in zip(labels, rows)
+    }
+
+
 def evaluate_rows(word: ReducedWord, a: RootVector) -> dict:
     """Value of each defining inequality at the point a."""
-    M = cone_matrix(word)
-    coords = a.to_positions(word)
-    return {
-        lab: sum(r * x for r, x in zip(row, coords))
-        for lab, row in zip(M.labels, M.rows)
-    }
+    _check_rank(word, a)
+    return _rows_at(word.n, chambers(build_wiring(word)), a)
 
 
 def violated_rows(word: ReducedWord, a: RootVector) -> list[RowLabel]:
@@ -234,8 +303,7 @@ def contains(word: ReducedWord, a: RootVector) -> bool:
     """Membership in the cone: all k defining rows *and* all k coordinate
     nonnegativity constraints (the latter are redundant, but that is a
     theorem to test, not to assume)."""
-    if word.n != a.n:
-        raise ValueError(f"rank mismatch: {word.n} vs {a.n}")
+    _check_rank(word, a)
     if any(x < 0 for x in a.values):
         return False
     return all(v >= 0 for v in evaluate_rows(word, a).values())
@@ -246,19 +314,29 @@ class NotInConeError(ValueError):
 
 
 def decompose(word: ReducedWord, a: RootVector) -> dict:
-    """Coefficients of a over the spanning vectors: label -> coefficient."""
-    if not contains(word, a):
+    """Coefficients of a over the spanning vectors: label -> coefficient.
+
+    The coefficients are the defining rows evaluated at a.  Recombined over
+    the closed-form columns they must give a back; this check needs no
+    inverse and raises ``CertificateError`` when it fails.
+    """
+    from .spanning import formula_vectors  # spanning imports this module
+
+    _check_rank(word, a)
+    chamber_list = chambers(build_wiring(word))
+    coeffs = _rows_at(word.n, chamber_list, a)
+    if any(x < 0 for x in a.values) or any(c < 0 for c in coeffs.values()):
         raise NotInConeError(f"{a.to_positions(word)} is not in the cone")
-    coeffs = evaluate_rows(word, a)
-    # sanity: recombination is the identity
-    span = spanning_set(word)
-    k = word.k
-    coords = a.to_positions(word)
-    recombined = [0] * k
-    for idx, lab in enumerate(span.matrix.labels):
-        for r in range(k):
-            recombined[r] += coeffs[lab] * span.columns[idx][r]
-    assert tuple(recombined) == coords
+    recombined = [0] * word.k
+    for c, v in zip(coeffs.values(), formula_vectors(word.n, chamber_list)):
+        if c:
+            for i, x in enumerate(v.values):
+                recombined[i] += c * x
+    if tuple(recombined) != a.values:
+        raise CertificateError(
+            f"{word.letters}: coefficients {list(coeffs.values())} recombine to "
+            f"{recombined}, not {list(a.values)}"
+        )
     return coeffs
 
 

@@ -143,9 +143,9 @@ def partial_quiver_of(members, n: int) -> PartialQuiver:
     if not wiring.is_chamber_set(s, n):
         raise ValueError(f"{sorted(s)} is not a chamber set for n={n}")
     complement = set(range(1, n + 2)) - s
+    # 2 <= a <= b <= n, because s is neither an initial nor a final interval
     a = min(complement) if 1 in s else min(s)
     b = max(complement) if n + 1 in s else max(s)
-    assert 2 <= a <= b <= n
     symbols = []
     for e in range(n, 1, -1):
         if a <= e <= b:

@@ -1,11 +1,13 @@
-"""Closed-form spanning vectors and the verifier against exact inverses.
+"""Closed-form spanning vectors and the verifier of the theorem.
 
 Every Lusztig cone has n spanning vectors common to all words, one per
 simple root, plus one per bounded chamber; the latter depend only on the
 chamber's partial quiver P and equal the rounded-up half of the sum of
-the component indicator vectors of P.  ``verify_theorem`` checks this
-entrywise, in root coordinates, against the exact inverse of the
-defining matrix.
+the component indicator vectors of P.  ``verify_theorem`` checks this in
+root coordinates by certificate: the closed-form columns V pass iff
+M·V = I exactly for the defining matrix M, which proves V = M^-1.  Only
+when the certificate fails is M inverted (Bareiss), so that each mismatch
+carries the true inverse column.
 """
 
 from __future__ import annotations
@@ -14,37 +16,22 @@ import random
 from dataclasses import dataclass
 
 from . import cone, pquiver, wiring
-from .cone import ChamberLabel, RootVector, SimpleRootLabel
+from .cone import RootVector
 from .pquiver import Component, PartialQuiver
-from .words import ReducedWord, all_positive_roots, apply_braid_move
-from .words import enumerate_reduced_words, long_move_positions
-from .words import short_move_positions, staircase_word
+from .words import ReducedWord, all_positive_roots, enumerate_reduced_words
+from .words import long_moves, short_moves, staircase_word
 
 
 def v_simple(j: int, n: int) -> RootVector:
     """Indicator of the roots (p, q) with p <= j < j+1 <= q."""
     if not 1 <= j <= n:
         raise ValueError(f"simple root index {j} out of range [1, {n}]")
-    return RootVector.from_dict(
-        n,
-        {
-            (p, q): 1
-            for p in range(1, j + 1)
-            for q in range(j + 1, n + 2)
-        },
-    )
+    return RootVector(n, tuple(int(p <= j < q) for p, q in all_positive_roots(n)))
 
 
 def v_component(Y: Component, n: int) -> RootVector:
     """Indicator of the roots (p, q) with p < a(Y) <= b(Y) < q."""
-    return RootVector.from_dict(
-        n,
-        {
-            (p, q): 1
-            for p in range(1, Y.a)
-            for q in range(Y.b + 1, n + 2)
-        },
-    )
+    return RootVector(n, tuple(int(p < Y.a and Y.b < q) for p, q in all_positive_roots(n)))
 
 
 def weight_vector(P: PartialQuiver) -> RootVector:
@@ -58,9 +45,36 @@ def weight_vector(P: PartialQuiver) -> RootVector:
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:
-    """Entrywise ceiling of half the weight vector (1/2 rounds up)."""
-    w = weight_vector(P)
-    return RootVector(P.n, tuple(-(-x // 2) for x in w.values))
+    """Entrywise ceiling of half the weight vector (1/2 rounds up).
+
+    Built row by row of roots (p, .): the weight at (p, q) counts the
+    components Y with p < a(Y) and b(Y) < q.  The components are disjoint
+    runs, so those with p < a(Y) are a suffix of them ordered by a(Y), and
+    along q the weight rises by one just after each of their b(Y).
+    """
+    n = P.n
+    runs = pquiver.components(P)[::-1]  # right to left: a(Y) and b(Y) ascend
+    values: list[int] = []
+    first = 0
+    for p in range(1, n + 1):
+        while first < len(runs) and runs[first].a <= p:
+            first += 1
+        q = p + 1
+        for weight, Y in enumerate(runs[first:]):
+            values += [(weight + 1) // 2] * (Y.b + 1 - q)
+            q = Y.b + 1
+        values += [(len(runs) - first + 1) // 2] * (n + 2 - q)
+    return RootVector(n, tuple(values))
+
+
+def formula_vectors(n: int, chamber_list) -> list[RootVector]:
+    """The closed-form columns, in the label order of ``cone.root_rows``:
+    ``v_simple(j)`` for j = 1..n, then ``v_partial_quiver`` of each chamber's
+    partial quiver.  An illegal chamber set raises ValueError."""
+    return [v_simple(j, n) for j in range(1, n + 1)] + [
+        v_partial_quiver(pquiver.partial_quiver_of(c.chamber_set, n))
+        for c in chamber_list
+    ]
 
 
 @dataclass(frozen=True)
@@ -85,23 +99,35 @@ class TheoremReport:
 
 
 def verify_theorem(word: ReducedWord) -> TheoremReport:
-    """Compare the closed-form vectors with the exact inverse columns."""
-    span = cone.spanning_set(word)
-    chamber_by_pair = {
-        (c.left_pos, c.right_pos): c
-        for c in wiring.chambers(wiring.build_wiring(word))
-    }
-    verdicts = []
-    for label in span.matrix.labels:
-        got = span.vector(label)
-        if isinstance(label, SimpleRootLabel):
-            expected = v_simple(label.j, word.n)
-        else:
-            chamber = chamber_by_pair[(label.left, label.right)]
-            P = pquiver.partial_quiver_of(chamber.chamber_set, word.n)
-            expected = v_partial_quiver(P)
-        verdicts.append(LabelVerdict(label=label, formula=expected, inverse=got))
-    return TheoremReport(word=word, verdicts=tuple(verdicts))
+    """Compare the closed-form vectors with the columns of the inverse
+    defining matrix, one verdict per row label.
+
+    The word is traced once; its chambers give both the sparse rows of M
+    and the closed-form columns V.  When ``cone.certify_inverse`` accepts V,
+    V is M^-1 and each verdict's inverse is its certified column.  Otherwise
+    M is inverted exactly, and the verdicts carry the true inverse columns;
+    if those equal V after all, the certificate is at fault and
+    ``cone.CertificateError`` is raised.
+    """
+    n = word.n
+    chamber_list = wiring.chambers(wiring.build_wiring(word))
+    labels, rows = cone.root_rows(n, chamber_list)
+    formulas = formula_vectors(n, chamber_list)
+    if cone.certify_inverse(rows, [v.values for v in formulas]):
+        inverses = formulas
+    else:
+        by_label = cone.spanning_set(word).root_vectors()
+        inverses = [by_label[label] for label in labels]
+        if inverses == formulas:
+            raise cone.CertificateError(
+                f"{word.letters}: the certificate rejects the closed-form "
+                "columns, but they equal the exact inverse"
+            )
+    verdicts = tuple(
+        LabelVerdict(label=label, formula=f, inverse=v)
+        for label, f, v in zip(labels, formulas, inverses)
+    )
+    return TheoremReport(word=word, verdicts=verdicts)
 
 
 DEFAULT_WALK_FACTOR = 4
@@ -111,21 +137,29 @@ def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
     """Seeded random-walk sample of reduced words.
 
     Each sample is reached from the previous one by a walk of 4k braid
-    moves, each chosen uniformly among the applicable ones.  The sample
-    is deterministic given (n, count, seed); no uniformity over words is
-    claimed.
+    moves, each chosen uniformly among the applicable ones, listed short
+    moves first and then long moves, each by position.  The walk runs on a
+    plain letter list, and each sample is validated once.  The sample is
+    deterministic given (n, count, seed); no uniformity over words is
+    claimed.  At n = 1 no move applies and the walk stays put.
     """
     rng = random.Random(seed)
-    word = staircase_word(n)
-    steps = DEFAULT_WALK_FACTOR * word.k
+    letters = list(staircase_word(n).letters)
+    steps = DEFAULT_WALK_FACTOR * len(letters)
     out = []
     for _ in range(count):
         for _ in range(steps):
-            moves = [(p, "short") for p in short_move_positions(word)]
-            moves += [(p, "long") for p in long_move_positions(word)]
-            pos, kind = rng.choice(moves)
-            word = apply_braid_move(word, pos, kind)
-        out.append(word)
+            short, long_ = short_moves(letters), long_moves(letters)
+            if not short and not long_:
+                break
+            m = rng.choice(range(len(short) + len(long_)))
+            if m < len(short):
+                p = short[m]
+                letters[p], letters[p + 1] = letters[p + 1], letters[p]
+            else:
+                p = long_[m - len(short)]
+                letters[p : p + 3] = [letters[p + 1], letters[p], letters[p + 1]]
+        out.append(ReducedWord(n, tuple(letters)))
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import ReducedWord, root_ordering
+from .words import ReducedWord
 
 
 @dataclass(frozen=True)
@@ -57,61 +57,55 @@ def is_chamber_set(members, n: int) -> bool:
 
 
 def build_wiring(word: ReducedWord) -> WiringDiagram:
-    """Trace the strings of the word's wiring diagram."""
-    n = word.n
-    state = list(range(1, n + 2))
+    """Trace the strings of the word's wiring diagram.
+
+    This is the one trace of a word: crossings (labelled by the induced
+    root ordering), chambers and the cone's defining rows all derive from
+    it.
+    """
+    state = list(range(1, word.n + 2))
     profiles = [tuple(state)]
     crossings = []
     for j, i in enumerate(word.letters, start=1):
         a, b = state[i - 1], state[i]
-        crossings.append(Crossing(pos=j, level=i, strings=(min(a, b), max(a, b))))
+        crossings.append(Crossing(pos=j, level=i, strings=(a, b) if a < b else (b, a)))
         state[i - 1], state[i] = b, a
         profiles.append(tuple(state))
-    assert profiles[-1] == tuple(range(n + 1, 0, -1))
-    # crossing labels are exactly the induced root ordering
-    assert tuple(c.strings for c in crossings) == root_ordering(word)
     return WiringDiagram(word=word, crossings=tuple(crossings), profiles=tuple(profiles))
 
 
 def chambers(diagram: WiringDiagram) -> list[Chamber]:
-    """All bounded chambers, ordered by left position."""
-    word = diagram.word
-    by_pos = {c.pos: c for c in diagram.crossings}
-    positions_of = {}
-    for j, i in enumerate(word.letters, start=1):
-        positions_of.setdefault(i, []).append(j)
+    """All bounded chambers, ordered by left position.
+
+    One pass over the crossings: the last crossing seen at each level opens
+    a chamber there, which the next crossing at that level closes.  The
+    crossings one level up or down in between are its ``above`` and
+    ``below``.  Legality of the chamber sets is not re-checked here;
+    ``pquiver.partial_quiver_of`` rejects an illegal one.
+    """
+    open_at: dict[int, tuple[Crossing, list, list]] = {}
     result = []
-    for level, positions in positions_of.items():
-        for s, s2 in zip(positions, positions[1:]):
-            below_strings = frozenset(diagram.profiles[s][level:])
-            # the strings below a chamber are constant across its x-range
-            for x in range(s, s2):
-                assert frozenset(diagram.profiles[x][level:]) == below_strings
-            assert is_chamber_set(below_strings, word.n)
-            above = tuple(
-                by_pos[p]
-                for p in range(s + 1, s2)
-                if word.letters[p - 1] == level - 1
-            )
-            below = tuple(
-                by_pos[p]
-                for p in range(s + 1, s2)
-                if word.letters[p - 1] == level + 1
-            )
+    for c in diagram.crossings:
+        if c.level + 1 in open_at:
+            open_at[c.level + 1][1].append(c)
+        if c.level - 1 in open_at:
+            open_at[c.level - 1][2].append(c)
+        if c.level in open_at:
+            left, above, below = open_at[c.level]
             result.append(
                 Chamber(
-                    left_pos=s,
-                    right_pos=s2,
-                    level=level,
-                    chamber_set=below_strings,
-                    left=by_pos[s],
-                    right=by_pos[s2],
-                    above=above,
-                    below=below,
+                    left_pos=left.pos,
+                    right_pos=c.pos,
+                    level=c.level,
+                    chamber_set=frozenset(diagram.profiles[left.pos][c.level :]),
+                    left=left,
+                    right=c,
+                    above=tuple(above),
+                    below=tuple(below),
                 )
             )
-    result.sort(key=lambda c: c.left_pos)
-    assert len(result) == word.n * (word.n - 1) // 2
+        open_at[c.level] = (c, [], [])
+    result.sort(key=lambda ch: ch.left_pos)
     return result
 
 

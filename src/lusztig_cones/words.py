@@ -119,20 +119,29 @@ def apply_braid_move(word: ReducedWord, position: int, kind: str) -> ReducedWord
     return ReducedWord(word.n, tuple(letters))
 
 
+def short_moves(letters) -> list[int]:
+    """0-based positions p where letters p, p+1 commute (a short braid move)."""
+    return [p for p in range(len(letters) - 1) if abs(letters[p] - letters[p + 1]) >= 2]
+
+
+def long_moves(letters) -> list[int]:
+    """0-based positions p where letters p..p+2 read (i, j, i) with |i-j| = 1
+    (a long braid move)."""
+    return [
+        p
+        for p in range(len(letters) - 2)
+        if letters[p] == letters[p + 2] and abs(letters[p] - letters[p + 1]) == 1
+    ]
+
+
 def short_move_positions(word: ReducedWord) -> list[int]:
     """1-based positions where a short braid move applies."""
-    L = word.letters
-    return [p + 1 for p in range(word.k - 1) if abs(L[p] - L[p + 1]) >= 2]
+    return [p + 1 for p in short_moves(word.letters)]
 
 
 def long_move_positions(word: ReducedWord) -> list[int]:
     """1-based positions where a long braid move applies."""
-    L = word.letters
-    return [
-        p + 1
-        for p in range(word.k - 2)
-        if L[p] == L[p + 2] and abs(L[p] - L[p + 1]) == 1
-    ]
+    return [p + 1 for p in long_moves(word.letters)]
 
 
 def braid_neighbors(word: ReducedWord) -> Iterator[ReducedWord]:

@@ -66,6 +66,33 @@ class TestVerify:
         assert code == 0
         assert json.loads(out) == {"n": 4, "checked": 5, "mismatches": []}
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--count", "0"], ["--count", "-5"], ["--jobs", "0"], ["--jobs", "-1"]],
+    )
+    def test_nonpositive_count_or_jobs_exit_2(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "3", "--mode", "sample", *extra])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+
+class TestSpanning:
+    def test_json_matches_exact_inverse(self, capsys):
+        from lusztig_cones.cone import spanning_set
+        from lusztig_cones.words import ReducedWord
+
+        code, out, _ = run(
+            capsys, "spanning", "--n", "3", "--word", "1,3,2,1,3,2", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["overall"] is True
+        span = spanning_set(ReducedWord(3, (1, 3, 2, 1, 3, 2)))
+        assert [v["position"] for v in payload["vectors"]] == [
+            list(col) for col in span.columns
+        ]
+
 
 class TestMember:
     def test_outside_point(self, capsys):
@@ -161,6 +188,24 @@ class TestErrors:
         code, _, err = run(capsys, "roots", "--n", "3", "--word", "1,2,3")
         assert code == 1
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [
+            ("roots", "svg"), ("chambers", "svg"), ("render", "json"),
+            ("cone-matrix", "svg"), ("spanning", "svg"), ("member", "svg"),
+            ("decompose", "svg"), ("verify", "svg"), ("enumerate", "svg"),
+        ],
+    )
+    def test_unsupported_format_exit_2(self, command, fmt):
+        argv = [command, "--n", "2", "--format", fmt]
+        if command not in ("verify", "enumerate"):
+            argv += ["--word", "1,2,1"]
+        if command in ("member", "decompose"):
+            argv += ["--point", "0,0,0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

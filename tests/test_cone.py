@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from lusztig_cones import cone, spanning
 from lusztig_cones.cone import (
+    CertificateError,
     ChamberLabel,
     NotInConeError,
     RootVector,
     SimpleRootLabel,
+    UnimodularityError,
+    certify_inverse,
     cone_matrix,
     contains,
     decompose,
@@ -37,6 +41,36 @@ def fraction_inverse(rows):
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return [row[k:] for row in m]
+
+
+def minimal_pair_rows(word):
+    """The defining rows read off the letters: a unit row at the position
+    of root (j, j+1), then per minimal pair of equal letters -1 at both
+    ends and +1 at the letters in between adjacent to them."""
+    from lusztig_cones.words import root_ordering
+
+    k, letters = word.k, word.letters
+    roots = root_ordering(word)
+    rows = []
+    for j in range(1, word.n + 1):
+        pos = roots.index((j, j + 1))
+        rows.append(tuple(int(idx == pos) for idx in range(k)))
+    pairs = []
+    for i in set(letters):
+        positions = [p for p in range(k) if letters[p] == i]
+        pairs += zip(positions, positions[1:])
+    for s, s2 in sorted(pairs):
+        row = [0] * k
+        row[s] = row[s2] = -1
+        for p in range(s + 1, s2):
+            if abs(letters[p] - letters[s]) == 1:
+                row[p] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def sparse(rows):
+    return [tuple((c, a) for c, a in enumerate(row) if a) for row in rows]
 
 
 class TestConeMatrix:
@@ -73,6 +107,48 @@ class TestConeMatrix:
             ChamberLabel(3, 6),
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_minimal_pair_definition(self, n):
+        for w in enumerate_reduced_words(n):
+            assert cone_matrix(w).rows == minimal_pair_rows(w)
+
+    def test_row_lookup(self):
+        M = cone_matrix(FIG_WORD)
+        assert M.row(ChamberLabel(2, 5)) == (0, -1, 1, 0, -1, 0)
+
+
+class TestCertificate:
+    def test_accepts_exact_inverse(self):
+        M = cone_matrix(FIG_WORD)
+        _, inv = exact_inverse(M.rows)
+        assert certify_inverse(sparse(M.rows), list(zip(*inv)))
+
+    def test_rejects_every_single_entry_change(self):
+        M = cone_matrix(FIG_WORD)
+        _, inv = exact_inverse(M.rows)
+        columns = [list(col) for col in zip(*inv)]
+        for c in range(FIG_WORD.k):
+            for r in range(FIG_WORD.k):
+                columns[c][r] += 1
+                assert not certify_inverse(sparse(M.rows), columns)
+                columns[c][r] -= 1
+
+    def test_rejects_negative_entry(self):
+        # the inverse of (1 1; 0 1) has a -1
+        assert certify_inverse([((0, 1), (1, 1)), ((1, 1),)], [(1, 0), (-1, 1)]) is False
+
+    def test_rejects_wrong_shape(self):
+        assert not certify_inverse([((0, 1),), ((1, 1),)], [(1, 0)])
+        assert not certify_inverse([((0, 1),), ((1, 1),)], [(1,), (0, 1)])
+
+    def test_general_coefficients(self):
+        # (2 1; 1 1) has the inverse (1 -1; -1 2), rejected for its negative
+        # entries; (3 -2; -1 1) has the nonnegative inverse (1 2; 1 3)
+        rows = [((0, 2), (1, 1)), ((0, 1), (1, 1))]
+        assert not certify_inverse(rows, [(1, -1), (-1, 2)])
+        rows = [((0, 3), (1, -2)), ((0, -1), (1, 1))]
+        assert certify_inverse(rows, [(1, 1), (2, 3)])
+
 
 class TestInversion:
     def test_rank_two_columns(self):
@@ -107,6 +183,14 @@ class TestInversion:
             span = invert_unimodular(cone_matrix(w))
             assert span.det in (1, -1)
             assert all(x >= 0 for col in span.columns for x in col)
+
+    def test_wrong_inverse_rejected(self, monkeypatch):
+        M = cone_matrix(FIG_WORD)
+        det, inv = exact_inverse(M.rows)
+        inv[2][4] += 1
+        monkeypatch.setattr(cone, "exact_inverse", lambda rows: (det, inv))
+        with pytest.raises(UnimodularityError, match="inverse check failed"):
+            invert_unimodular(M)
 
 
 class TestMembership:
@@ -176,6 +260,18 @@ class TestDecompose:
         a = RootVector.from_positions(FIG_WORD, (0, 0, 1, 0, 0, 0))
         with pytest.raises(NotInConeError):
             decompose(FIG_WORD, a)
+
+    def test_recombination_failure_is_an_error(self, monkeypatch):
+        good = spanning.v_simple
+
+        def bad(j, n):
+            v = good(j, n)
+            return RootVector(n, (v.values[0] + 1,) + v.values[1:])
+
+        monkeypatch.setattr(spanning, "v_simple", bad)
+        span = spanning_set(FIG_WORD)
+        with pytest.raises(CertificateError):
+            decompose(FIG_WORD, span.vector(SimpleRootLabel(1)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_round_trip_on_random_cone_points(self, n):

@@ -1,7 +1,23 @@
-import pytest
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
-from lusztig_cones.cone import ChamberLabel, SimpleRootLabel, spanning_set
-from lusztig_cones.pquiver import Component, PartialQuiver
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lusztig_cones import cone, spanning, wiring
+from lusztig_cones.cone import (
+    CertificateError,
+    ChamberLabel,
+    RootVector,
+    SimpleRootLabel,
+    spanning_set,
+)
+from lusztig_cones.pquiver import Component, PartialQuiver, all_partial_quivers
 from lusztig_cones.spanning import (
     random_words,
     v_component,
@@ -18,6 +34,7 @@ from lusztig_cones.words import (
     long_move_positions,
     root_ordering,
     short_move_positions,
+    staircase_word,
 )
 
 FIG_WORD = ReducedWord(3, (1, 3, 2, 1, 3, 2))
@@ -63,6 +80,31 @@ class TestFormulas:
         assert w.to_dict()[(2, 4)] == 1
         assert v_partial_quiver(P) == ones_at(3, [(1, 3), (1, 4), (2, 4)])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_v_partial_quiver_is_rounded_half_weight(self, n):
+        for P in all_partial_quivers(n):
+            half = tuple(-(-x // 2) for x in weight_vector(P).values)
+            assert v_partial_quiver(P) == RootVector(n, half)
+
+
+def bareiss_vectors(word):
+    """The oracle: exact inverse columns, root-indexed, in label order."""
+    span = spanning_set(word)
+    return [span.vector(label) for label in span.matrix.labels]
+
+
+def corrupt(monkeypatch, target):
+    """Make v_partial_quiver(target) one too large at its first entry."""
+    good = spanning.v_partial_quiver
+
+    def bad(P):
+        v = good(P)
+        if P != target:
+            return v
+        return RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
+
+    monkeypatch.setattr(spanning, "v_partial_quiver", bad)
+
 
 class TestVerifyTheorem:
     def test_figure_word(self):
@@ -99,8 +141,6 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_equal_chamber_sets_give_equal_columns(self, n):
-        from lusztig_cones import wiring
-
         by_set = {}
         for w in enumerate_reduced_words(n):
             span = spanning_set(w)
@@ -116,6 +156,98 @@ class TestVerifyTheorem:
             for p in short_move_positions(w):
                 w2 = apply_braid_move(w, p, "short")
                 assert {v for v in spanning_set(w2).root_vectors().values()} == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_bareiss_exhaustive(self, n):
+        for w in enumerate_reduced_words(n):
+            report = verify_theorem(w)
+            assert [v.inverse for v in report.verdicts] == bareiss_vectors(w)
+            assert report.overall
+
+    def test_matches_bareiss_sampled_n5(self):
+        for w in random_words(5, 1000, seed=1):
+            report = verify_theorem(w)
+            assert [v.inverse for v in report.verdicts] == bareiss_vectors(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_certificate_agrees_with_bareiss(self, n, seed):
+        (w,) = random_words(n, 1, seed)
+        chamber_list = wiring.chambers(wiring.build_wiring(w))
+        _, rows = cone.root_rows(n, chamber_list)
+        columns = [v.values for v in bareiss_vectors(w)]
+        assert cone.certify_inverse(rows, columns)
+        formulas = spanning.formula_vectors(n, chamber_list)
+        assert [v.values for v in formulas] == columns
+
+    def test_corrupted_formula_reports_true_inverse(self, monkeypatch):
+        corrupt(monkeypatch, PartialQuiver.from_string("-R", 3))
+        report = verify_theorem(FIG_WORD)
+        assert not report.overall
+        (bad,) = [v for v in report.verdicts if not v.equal]
+        assert bad.label == ChamberLabel(1, 4)
+        assert bad.inverse == spanning_set(FIG_WORD).vector(bad.label)
+        assert bad.formula.values[0] == bad.inverse.values[0] + 1
+
+    def test_corrupted_formula_under_optimize(self):
+        # asserts vanish under -O; the rejection and decompose's
+        # recombination check must not
+        script = """
+import json
+from lusztig_cones import cone, spanning, wiring
+from lusztig_cones.cone import RootVector, spanning_set
+from lusztig_cones.pquiver import PartialQuiver
+from lusztig_cones.words import ReducedWord
+
+good, target = spanning.v_partial_quiver, PartialQuiver.from_string("-R", 3)
+
+def bad(P):
+    v = good(P)
+    return v if P != target else RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
+
+spanning.v_partial_quiver = bad
+w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
+report = spanning.verify_theorem(w)
+wrong = [v for v in report.verdicts if not v.equal]
+point = spanning_set(w).vector(wrong[0].label)
+try:
+    cone.decompose(w, point)
+    decompose = "passed"
+except cone.CertificateError:
+    decompose = "CertificateError"
+print(json.dumps({
+    "debug": __debug__,
+    "overall": report.overall,
+    "wrong": [list(v.inverse.values) for v in wrong],
+    "oracle": list(spanning_set(w).vector(wrong[0].label).values),
+    "decompose": decompose,
+}))
+"""
+        src = str(Path(spanning.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["debug"] is False
+        assert out["overall"] is False
+        assert out["wrong"] == [out["oracle"]]
+        assert out["decompose"] == "CertificateError"
+
+    def test_rejected_certificate_that_bareiss_accepts_is_an_error(self, monkeypatch):
+        real = cone.certify_inverse
+        calls = []
+
+        def reject_first(rows, columns):
+            # the first call is verify_theorem's; Bareiss's own check follows
+            calls.append(rows)
+            return len(calls) > 1 and real(rows, columns)
+
+        monkeypatch.setattr(cone, "certify_inverse", reject_first)
+        with pytest.raises(CertificateError):
+            verify_theorem(FIG_WORD)
 
 
 class TestVerifyAll:
@@ -158,3 +290,26 @@ class TestRandomWords:
 
     def test_seed_changes_sample(self):
         assert random_words(5, 10, seed=1) != random_words(5, 10, seed=2)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9, 12345])
+    def test_matches_reference_walk(self, n, seed):
+        assert random_words(n, 8, seed) == reference_walk(n, 8, seed)
+
+    def test_rank_one_stays_put(self):
+        assert random_words(1, 3, seed=0) == [staircase_word(1)] * 3
+
+
+def reference_walk(n, count, seed):
+    """The walk on validated words, one braid move at a time."""
+    rng = random.Random(seed)
+    word = staircase_word(n)
+    out = []
+    for _ in range(count):
+        for _ in range(4 * word.k):
+            moves = [(p, "short") for p in short_move_positions(word)]
+            moves += [(p, "long") for p in long_move_positions(word)]
+            pos, kind = rng.choice(moves)
+            word = apply_braid_move(word, pos, kind)
+        out.append(word)
+    return out

@@ -95,6 +95,22 @@ class TestChambers:
                 assert lhs == rhs
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chambers_match_profile_scan(self, n):
+        # the strings below a chamber are constant across its x-range, and
+        # its above/below crossings are the letters in between one level up
+        # or down
+        for w in enumerate_reduced_words(n):
+            d = build_wiring(w)
+            for c in chambers(d):
+                for x in range(c.left_pos, c.right_pos):
+                    assert frozenset(d.profiles[x][c.level :]) == c.chamber_set
+                between = d.crossings[c.left_pos : c.right_pos - 1]
+                assert c.above == tuple(x for x in between if x.level == c.level - 1)
+                assert c.below == tuple(x for x in between if x.level == c.level + 1)
+                assert w.letters[c.left_pos - 1] == w.letters[c.right_pos - 1] == c.level
+                assert c.level not in {x.level for x in between}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_legal_chamber_sets_occur(self, n):
         legal = {
             frozenset(s)
