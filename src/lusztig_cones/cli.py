@@ -133,14 +133,15 @@ def cmd_verify(args) -> int:
 
 def cmd_member(args) -> int:
     word = _word(args)
-    point = RootVector.from_positions(word, _parse_ints(args.point))
-    inside = cone.contains(word, point)
-    violated = [] if inside else cone.violated_rows(word, point)
-    negative = [j + 1 for j, x in enumerate(point.to_positions(word)) if x < 0]
+    coords = _parse_ints(args.point)
+    point = RootVector.from_positions(word, coords)
+    violated = [lab for lab, v in cone.evaluate_rows(word, point).items() if v < 0]
+    negative = [j for j, x in enumerate(coords, 1) if x < 0]
+    inside = not violated and not negative
     if args.format == "json":
         payload = {
             **word.to_json(),
-            "point": {"coords": "position", "values": list(point.to_positions(word))},
+            "point": {"coords": "position", "values": list(coords)},
             "root": point.to_json(),
             "member": inside,
             "violated": [lab.to_json() for lab in violated],

@@ -342,8 +342,7 @@ def decompose(word: ReducedWord, a: RootVector) -> dict:
 
 def superadditivity(word: ReducedWord, a: RootVector) -> bool:
     """Whether a_{ik} >= a_{ij} + a_{jk} for all i < j < k."""
-    if word.n != a.n:
-        raise ValueError(f"rank mismatch: {word.n} vs {a.n}")
+    _check_rank(word, a)
     n = a.n
     return all(
         a[(i, k)] >= a[(i, j)] + a[(j, k)]

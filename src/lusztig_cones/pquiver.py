@@ -7,15 +7,14 @@ i.e. from edge n down to edge 2, as in ``---LRLL-``.
 
 The map ``chamber_set_of`` is a bijection between partial quivers and
 legal chamber sets; ``bfz_word`` builds a reduced word compatible with a
-full quiver from the corresponding arrangement of bent lines in a square.
+full quiver from its sequence of sinks, each found after reflecting the
+quiver at the sinks before it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import wiring
@@ -132,9 +131,7 @@ def chamber_set_of(P: PartialQuiver) -> frozenset[int]:
     a, b = P.rightmost, P.leftmost
     l2 = set(range(1, a)) if P.edge(a) == "R" else set()
     l3 = set(range(b + 1, P.n + 2)) if P.edge(b) == "R" else set()
-    s = frozenset(l1 | l2 | l3)
-    assert wiring.is_chamber_set(s, P.n)
-    return s
+    return frozenset(l1 | l2 | l3)
 
 
 def partial_quiver_of(members, n: int) -> PartialQuiver:
@@ -224,87 +221,26 @@ def chamber_crossings(Q: Quiver, P: PartialQuiver) -> tuple[int, int, int, int]:
     return p, q, r, s
 
 
-# --- arrangement of bent lines in a square (quiver-compatible words) ---
-
-
-def _line_segments(h: int, n: int, lam: set[int]):
-    """The one or two unit-slope segments of line h in the square."""
-    left = (Fraction(1), Fraction(n + 2 - h))
-    right = (Fraction(n + 1), Fraction(h))
-    if h in lam or h == n + 1:
-        vertex = (Fraction(n + 2 - h), Fraction(1))  # down, then up
-    else:
-        vertex = (Fraction(h), Fraction(n + 1))  # up, then down
-    segs = []
-    if vertex != left:
-        segs.append((left, vertex))
-    if vertex != right:
-        segs.append((vertex, right))
-    return segs
-
-
-def _segment_crossing(s1, s2):
-    """Proper intersection point of two unit-slope segments, or None."""
-    (x1, y1), (x2, y2) = s1
-    (x3, y3), (x4, y4) = s2
-    m1 = (y2 - y1) / (x2 - x1)
-    m2 = (y4 - y3) / (x4 - x3)
-    if m1 == m2:
-        return None
-    c1 = y1 - m1 * x1
-    c2 = y3 - m2 * x3
-    x = (c2 - c1) / (m1 - m2)
-    if not (max(x1, x3) <= x <= min(x2, x4)):
-        return None
-    return (x, m1 * x + c1)
-
-
 def bfz_word(Q: Quiver) -> ReducedWord:
-    """A reduced word compatible with Q, read off the arrangement of its
-    left-edge set.
+    """A reduced word compatible with Q: its chamber sets are exactly those
+    labelled by the sub partial quivers of Q.
 
-    Lines 1..n+1 join point h on the left edge of a square (numbered top
-    to bottom) to point h on the right edge (numbered bottom to top); for
-    h in the left-edge set the line bends at the bottom, otherwise at the
-    top.  Crossings are read left to right, simultaneous ones bottom-up.
+    The word is adapted to Q (Bédard 1999): each letter i is a sink of Q
+    reflected at the letters before it, and lengthens the word.  Among such
+    letters the smallest is taken; reflecting at i reverses the edges i and
+    i+1 that meet node i.
     """
     n = Q.n
-    lam = Q.left_edges()
-    segments = {h: _line_segments(h, n, lam) for h in range(1, n + 2)}
-    events = []  # (x, y, g, h)
-    for g in range(1, n + 2):
-        for h in range(g + 1, n + 2):
-            points = set()
-            for s1 in segments[g]:
-                for s2 in segments[h]:
-                    pt = _segment_crossing(s1, s2)
-                    if pt is not None:
-                        points.add(pt)
-            assert len(points) == 1, f"lines {g}, {h} cross {len(points)} times"
-            ((x, y),) = points
-            events.append((x, y, g, h))
-    events.sort(key=lambda e: (e[0], e[1]))
-    order = list(range(1, n + 2))  # top to bottom
+    perm = list(range(1, n + 2))
+    lam = Q.left_edges()  # edges e pointing from node e-1 to node e
     letters = []
-    pending = deque(events)
-    while pending:
-        # within a group of equal x the crossings commute; apply any that
-        # is currently adjacent
-        for idx, (x, y, g, h) in enumerate(pending):
-            ig, ih = order.index(g), order.index(h)
-            if abs(ig - ih) == 1:
+    while True:
+        for i in range(1, n + 1):
+            is_sink = (i == 1 or i in lam) and (i == n or i + 1 not in lam)
+            if is_sink and perm[i - 1] < perm[i]:
                 break
         else:
-            raise AssertionError("no applicable crossing; arrangement inconsistent")
-        del pending[idx]
-        lo = min(ig, ih)
-        letters.append(lo + 1)
-        order[lo], order[lo + 1] = order[lo + 1], order[lo]
-    assert order == list(range(n + 1, 0, -1))
-    word = ReducedWord(n, tuple(letters))
-    # compatibility contract: the chamber sets of the word are exactly the
-    # chamber sets labelled by the sub partial quivers of Q
-    got = {c.chamber_set for c in wiring.chambers(wiring.build_wiring(word))}
-    expected = {chamber_set_of(P) for P in sub_partial_quivers(Q)}
-    assert got == expected
-    return word
+            return ReducedWord(n, tuple(letters))
+        letters.append(i)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        lam ^= {e for e in (i, i + 1) if 2 <= e <= n}

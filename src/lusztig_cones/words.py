@@ -195,7 +195,6 @@ def root_ordering(word: ReducedWord) -> tuple[tuple[int, int], ...]:
     roots = []
     for i in word.letters:
         p, q = perm[i - 1], perm[i]
-        assert p < q, "non-positive root in a reduced word"
         roots.append((p, q))
         perm[i - 1], perm[i] = q, p
     return tuple(roots)

@@ -202,7 +202,7 @@ class TestBfzWord:
         got = sorted(sorted(c.chamber_set) for c in wiring.chambers(d))
         assert got == sorted(sorted(s) for s in ARR_24_CHAMBER_SETS)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_chamber_labels_are_sub_partial_quivers(self, n):
         for Q in all_quivers(n):
             d = wiring.build_wiring(bfz_word(Q))
