@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import cone, pquiver, spanning, wiring
-from .cone import ChamberLabel, RootVector, SimpleRootLabel
+from .cone import RootVector, SimpleRootLabel
 from .words import ReducedWord, enumerate_reduced_words, root_ordering
 
 
@@ -135,7 +135,7 @@ def cmd_member(args) -> int:
     word = _word(args)
     coords = _parse_ints(args.point)
     point = RootVector.from_positions(word, coords)
-    violated = [lab for lab, v in cone.evaluate_rows(word, point).items() if v < 0]
+    violated = cone.violated_rows(word, point)
     negative = [j for j, x in enumerate(coords, 1) if x < 0]
     inside = not violated and not negative
     if args.format == "json":
@@ -189,8 +189,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_bfz_word(args) -> int:
-    n = args.n if args.n is not None else len(args.quiver) + 1
-    Q = pquiver.Quiver.from_string(args.quiver, n)
+    Q = pquiver.Quiver.from_string(args.quiver)
     word = pquiver.bfz_word(Q)
     if args.format == "json":
         _emit_json({"quiver": str(Q), **word.to_json()}, args.out)
@@ -246,44 +245,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, word=False, point=False, formats=("text", "json")):
+    def add(name, func, *required, options=(), rank=True, formats=("text", "json")):
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        if word:
-            p.add_argument("--word", required=True)
-        if point:
-            p.add_argument("--point", required=True)
+        if rank:
+            p.add_argument("--n", type=int, required=True)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        for flag in options:
+            p.add_argument(flag)
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out")
         p.set_defaults(func=func)
         return p
 
-    add("roots", cmd_roots, word=True)
-    add("chambers", cmd_chambers, word=True)
-    add("render", cmd_render, word=True, formats=("text", "svg"))
-    add("cone-matrix", cmd_cone_matrix, word=True)
-    add("spanning", cmd_spanning, word=True)
+    add("roots", cmd_roots, "--word")
+    add("chambers", cmd_chambers, "--word")
+    add("render", cmd_render, "--word", formats=("text", "svg"))
+    add("cone-matrix", cmd_cone_matrix, "--word")
+    add("spanning", cmd_spanning, "--word")
     p = add("verify", cmd_verify)
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    add("member", cmd_member, word=True, point=True)
-    add("decompose", cmd_decompose, word=True, point=True)
+    add("member", cmd_member, "--word", "--point")
+    add("decompose", cmd_decompose, "--word", "--point")
     add("enumerate", cmd_enumerate)
-    p = sub.add_parser("bfz-word")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bfz_word)
-    p = sub.add_parser("pq")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set")
-    p.add_argument("--pq")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pq)
+    add("bfz-word", cmd_bfz_word, "--quiver", rank=False)
+    add("pq", cmd_pq, options=("--set", "--pq"))
     return parser
 
 

@@ -40,10 +40,10 @@ class PartialQuiver:
             )
         if any(s not in SYMBOLS for s in self.symbols):
             raise ValueError(f"bad edge symbols in {self.symbols}")
-        directed = self.directed_edges()
+        directed = str(self).strip("-")
         if not directed:
             raise ValueError("a partial quiver needs at least one directed edge")
-        if directed != list(range(min(directed), max(directed) + 1)):
+        if "-" in directed:
             raise ValueError("directed edges must form a contiguous interval")
 
     @classmethod
@@ -62,17 +62,17 @@ class PartialQuiver:
         return self.symbols[self.n - e]
 
     def directed_edges(self) -> list[int]:
-        return [e for e in range(2, self.n + 1) if self.symbols[self.n - e] != "-"]
+        return list(range(self.rightmost, self.leftmost + 1))
 
     @property
     def rightmost(self) -> int:
         """Edge index a of the rightmost directed edge (smallest index)."""
-        return min(self.directed_edges())
+        return self.n + 1 - len(str(self).rstrip("-"))
 
     @property
     def leftmost(self) -> int:
         """Edge index b of the leftmost directed edge (largest index)."""
-        return max(self.directed_edges())
+        return len(str(self).lstrip("-")) + 1
 
     @property
     def is_full(self) -> bool:
@@ -112,16 +112,11 @@ def leq(P: PartialQuiver, P2: PartialQuiver) -> bool:
 def components(P: PartialQuiver) -> list[Component]:
     """Maximal same-orientation runs, left to right."""
     result = []
-    run_type, run_edges = None, []
-    for e in range(P.leftmost, P.rightmost - 1, -1):  # left to right
-        sym = P.edge(e)
-        if sym == run_type:
-            run_edges.append(e)
-        else:
-            if run_type is not None:
-                result.append(Component(run_type, min(run_edges), max(run_edges)))
-            run_type, run_edges = sym, [e]
-    result.append(Component(run_type, min(run_edges), max(run_edges)))
+    b = P.leftmost
+    for sym, run in itertools.groupby(str(P).strip("-")):
+        a = b + 1 - len(list(run))
+        result.append(Component(sym, a, b))
+        b = a - 1
     return result
 
 

@@ -193,7 +193,10 @@ def _check_words(args) -> list:
     n, letter_tuples = args
     mismatches = []
     for letters in letter_tuples:
-        report = verify_theorem(ReducedWord(n, letters))
+        try:
+            report = verify_theorem(ReducedWord(n, letters))
+        except Exception as exc:
+            raise ValueError(f"word {letters}: {type(exc).__name__}: {exc}") from exc
         for v in report.verdicts:
             if not v.equal:
                 mismatches.append((report.word, v.label, v.formula, v.inverse))
@@ -207,7 +210,8 @@ def verify_all(
     seed: int = 0,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Run verify_theorem over many words and aggregate mismatches."""
+    """Run verify_theorem over many words and aggregate mismatches.  An
+    error raised on a word is re-raised as a ValueError naming its letters."""
     if mode == "exhaustive":
         words = list(enumerate_reduced_words(n))
     elif mode == "sample":

@@ -9,7 +9,6 @@ values; nothing is mutated in place.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -153,35 +152,41 @@ def braid_neighbors(word: ReducedWord) -> Iterator[ReducedWord]:
 
 
 def commutation_class(word: ReducedWord) -> set[ReducedWord]:
-    """Closure of ``word`` under short braid moves."""
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        w = queue.popleft()
-        for p in short_move_positions(w):
-            nb = apply_braid_move(w, p, "short")
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen
+    """Closure of ``word`` under short braid moves: the linear extensions of
+    its heap (Viennot 1986).  Depth first, the next letter may be any
+    remaining letter that commutes with every remaining letter before it;
+    equal letters never commute, so no word is reached twice."""
+
+    def extend(prefix, rest):
+        if not rest:
+            yield ReducedWord(word.n, prefix)
+        for p, i in enumerate(rest):
+            if all(abs(i - j) >= 2 for j in rest[:p]):
+                yield from extend(prefix + (i,), rest[:p] + rest[p + 1 :])
+
+    return set(extend((), word.letters))
 
 
 def enumerate_reduced_words(n: int) -> Iterator[ReducedWord]:
-    """Yield every reduced word for w0 exactly once.
+    """Yield every reduced word for w0 exactly once, in lexicographic order.
 
-    Breadth-first closure of the staircase seed under both braid move
-    kinds; the braid-move graph on reduced words of w0 is connected.
+    A word of length n(n+1)/2 is reduced for w0 iff each letter i lengthens
+    the product before it (``perm[i-1] < perm[i]``).  Depth first over those
+    letters, smallest first, so the staircase word comes first.
     """
-    seed = staircase_word(n)
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        w = queue.popleft()
-        yield w
-        for nb in braid_neighbors(w):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    k = longest_word_length(n)
+
+    def extend(prefix, perm):
+        if len(prefix) == k:
+            yield ReducedWord(n, prefix)
+        for i in range(1, n + 1):
+            if perm[i - 1] < perm[i]:
+                swapped = perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]
+                yield from extend(prefix + (i,), swapped)
+
+    return extend((), tuple(range(1, n + 2)))
 
 
 def root_ordering(word: ReducedWord) -> tuple[tuple[int, int], ...]:

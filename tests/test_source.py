@@ -6,12 +6,48 @@ import lusztig_cones
 PACKAGE = Path(lusztig_cones.__file__).parent
 
 
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """Names bound by the module-level imports of ``tree``, except
+    ``from __future__`` ones."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
 def test_no_assert_statements():
     # asserts vanish under `python -O`; every check in the package must raise
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(parse(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(PACKAGE)}: {name}"
+            for name in imported_names(tree)
+            if name not in used
+        ]
+    assert unused == []
+
+
+def test_init_exports_exactly_its_imports():
+    tree = parse(PACKAGE / "__init__.py")
+    assert sorted(imported_names(tree)) == sorted(lusztig_cones.__all__)

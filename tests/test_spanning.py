@@ -280,6 +280,21 @@ class TestVerifyAll:
         with pytest.raises(ValueError):
             verify_all(2, mode="all")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_names_the_word(self, monkeypatch, jobs):
+        real = spanning.verify_theorem
+
+        def fail_on_figure_word(word):
+            if word == FIG_WORD:
+                raise ArithmeticError("planted failure")
+            return real(word)
+
+        monkeypatch.setattr(spanning, "verify_theorem", fail_on_figure_word)
+        with pytest.raises(ValueError) as info:
+            verify_all(3, mode="exhaustive", jobs=jobs)
+        assert str(FIG_WORD.letters) in str(info.value)
+        assert "ArithmeticError: planted failure" in str(info.value)
+
 
 class TestRandomWords:
     def test_counts_and_validity(self):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 
@@ -7,6 +8,7 @@ from lusztig_cones.words import (
     BraidMoveError,
     ReducedWord,
     apply_braid_move,
+    braid_neighbors,
     commutation_class,
     enumerate_reduced_words,
     is_reduced_word_for_w0,
@@ -26,6 +28,22 @@ def staircase_tableaux_count(n):
             leg = sum(1 for rr in range(r + 1, n) if rows[rr] > c)
             hooks *= arm + leg + 1
     return math.factorial(n * (n + 1) // 2) // hooks
+
+
+def closure(seed, moves):
+    """Breadth-first closure of ``seed`` under ``moves`` (the oracle)."""
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        for nb in moves(queue.popleft()):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen
+
+
+def short_neighbors(word):
+    return [apply_braid_move(word, p, "short") for p in words.short_move_positions(word)]
 
 
 class TestValidation:
@@ -105,6 +123,11 @@ class TestCommutationClass:
         for w in enumerate_reduced_words(3):
             assert w in commutation_class(w)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_short_move_closure(self, n):
+        for w in enumerate_reduced_words(n):
+            assert commutation_class(w) == closure(w, short_neighbors)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 16), (4, 768)])
@@ -112,7 +135,18 @@ class TestEnumeration:
         assert staircase_tableaux_count(n) == count
         ws = list(enumerate_reduced_words(n))
         assert len(ws) == count
-        assert len(set(ws)) == count
+        assert all(a.letters < b.letters for a, b in zip(ws, ws[1:]))
+        assert ws[0] == staircase_word(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_braid_move_closure(self, n):
+        ws = set(enumerate_reduced_words(n))
+        assert ws == closure(staircase_word(n), braid_neighbors)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rank_below_one(self, n):
+        with pytest.raises(ValueError):
+            list(enumerate_reduced_words(n))
 
     def test_partitions_into_commutation_classes(self):
         all_words = set(enumerate_reduced_words(3))
