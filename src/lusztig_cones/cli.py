@@ -264,7 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("cone-matrix", cmd_cone_matrix, "--word")
     add("spanning", cmd_spanning, "--word")
     p = add("verify", cmd_verify)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
+    p.add_argument(
+        "--mode",
+        choices=["exhaustive", "sample"],
+        default="exhaustive",
+        help="exhaustive: every reduced word; sample: --count words drawn "
+        "uniformly, with replacement, by hook walk and Edelman–Greene",
+    )
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 from . import cone, pquiver, wiring
 from .cone import RootVector
 from .pquiver import Component, PartialQuiver
-from .words import ReducedWord, all_positive_roots, enumerate_reduced_words
-from .words import long_moves, short_moves, staircase_word
+from .words import (
+    ReducedWord,
+    all_positive_roots,
+    edelman_greene,
+    enumerate_reduced_words,
+    hook_walk_tableau,
+)
 
 
 def v_simple(j: int, n: int) -> RootVector:
@@ -130,37 +135,17 @@ def verify_theorem(word: ReducedWord) -> TheoremReport:
     return TheoremReport(word=word, verdicts=verdicts)
 
 
-DEFAULT_WALK_FACTOR = 4
-
-
 def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
-    """Seeded random-walk sample of reduced words.
-
-    Each sample is reached from the previous one by a walk of 4k braid
-    moves, each chosen uniformly among the applicable ones, listed short
-    moves first and then long moves, each by position.  The walk runs on a
-    plain letter list, and each sample is validated once.  The sample is
-    deterministic given (n, count, seed); no uniformity over words is
-    claimed.  At n = 1 no move applies and the walk stays put.
-    """
+    """``count`` reduced words drawn uniformly, with replacement: each is
+    the Edelman–Greene word of a hook-walk tableau (``words.edelman_greene``,
+    ``words.hook_walk_tableau``), as in Angel, Holroyd, Romik and Virág,
+    "Random sorting networks" (2007).  Integers only, deterministic given
+    (n, count, seed); each word is validated once, on construction."""
     rng = random.Random(seed)
-    letters = list(staircase_word(n).letters)
-    steps = DEFAULT_WALK_FACTOR * len(letters)
-    out = []
-    for _ in range(count):
-        for _ in range(steps):
-            short, long_ = short_moves(letters), long_moves(letters)
-            if not short and not long_:
-                break
-            m = rng.choice(range(len(short) + len(long_)))
-            if m < len(short):
-                p = short[m]
-                letters[p], letters[p + 1] = letters[p + 1], letters[p]
-            else:
-                p = long_[m - len(short)]
-                letters[p : p + 3] = [letters[p + 1], letters[p], letters[p + 1]]
-        out.append(ReducedWord(n, tuple(letters)))
-    return out
+    return [
+        ReducedWord(n, edelman_greene(hook_walk_tableau(n, rng)))
+        for _ in range(count)
+    ]
 
 
 @dataclass
@@ -189,14 +174,15 @@ class VerifyReport:
         }
 
 
-def _check_words(args) -> list:
-    n, letter_tuples = args
+def _check_words(words) -> list:
     mismatches = []
-    for letters in letter_tuples:
+    for word in words:
         try:
-            report = verify_theorem(ReducedWord(n, letters))
+            report = verify_theorem(word)
         except Exception as exc:
-            raise ValueError(f"word {letters}: {type(exc).__name__}: {exc}") from exc
+            raise ValueError(
+                f"word {word.letters}: {type(exc).__name__}: {exc}"
+            ) from exc
         for v in report.verdicts:
             if not v.equal:
                 mismatches.append((report.word, v.label, v.formula, v.inverse))
@@ -211,24 +197,25 @@ def verify_all(
     jobs: int = 1,
 ) -> VerifyReport:
     """Run verify_theorem over many words and aggregate mismatches.  An
-    error raised on a word is re-raised as a ValueError naming its letters."""
+    error raised on a word is re-raised as a ValueError naming its letters.
+
+    The words enumeration or sampling built are checked as they are, and
+    pickled to the ``jobs`` workers; unpickling does not validate them
+    again."""
     if mode == "exhaustive":
         words = list(enumerate_reduced_words(n))
     elif mode == "sample":
         words = random_words(n, count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    letter_tuples = [w.letters for w in words]
-    if jobs > 1 and len(letter_tuples) > 1:
+    if jobs > 1 and len(words) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [
-            (n, letter_tuples[i::jobs]) for i in range(jobs) if letter_tuples[i::jobs]
-        ]
+        chunks = [words[i::jobs] for i in range(jobs) if words[i::jobs]]
         mismatches = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_check_words, chunks):
                 mismatches.extend(part)
     else:
-        mismatches = _check_words((n, letter_tuples))
+        mismatches = _check_words(words)
     return VerifyReport(n=n, checked=len(words), mismatches=mismatches)

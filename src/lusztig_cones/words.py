@@ -189,6 +189,79 @@ def enumerate_reduced_words(n: int) -> Iterator[ReducedWord]:
     return extend((), tuple(range(1, n + 2)))
 
 
+def hook_walk_tableau(n: int, rng) -> list[list[int]]:
+    """A uniformly random standard Young tableau of staircase shape
+    (n, n-1, ..., 1), as rows, by the hook walk of Greene, Nijenhuis and
+    Wilf (1979).
+
+    Each entry m = k, k-1, ..., 1 goes into the corner where a walk ends:
+    it starts at a uniform cell of the shape still empty and moves to a
+    uniform cell of its hook (the cells to its right or below) until it
+    reaches a corner.  Only ``rng.randrange`` is called.
+    """
+    rows = list(range(n, 0, -1))  # row and column lengths of the empty part
+    cols = list(rows)
+    tableau = [[0] * length for length in rows]
+    for m in range(longest_word_length(n), 0, -1):
+        x, r = rng.randrange(m), 0
+        while x >= rows[r]:
+            x -= rows[r]
+            r += 1
+        c = x
+        while True:
+            arm, leg = rows[r] - c - 1, cols[c] - r - 1
+            if not arm + leg:
+                break
+            x = rng.randrange(arm + leg)
+            if x < arm:
+                c += 1 + x
+            else:
+                r += 1 + x - arm
+        tableau[r][c] = m
+        rows[r] -= 1
+        cols[c] -= 1
+    return tableau
+
+
+def edelman_greene(tableau: list[list[int]]) -> tuple[int, ...]:
+    """The reduced word of w0 that Edelman–Greene (1987) promotion reads off
+    a standard tableau of staircase shape, in O(k·n).
+
+    At each step the column of the corner holding the largest entry is the
+    next letter; that entry is removed, and the hole slides back to the top
+    left cell, each time taking the larger of the entries to its left and
+    above.  Instead of refilling with 0 and adding 1 to every entry, the top
+    left cell gets a decreasing offset, which keeps the order of the
+    entries.  The promotion runs on a copy of ``tableau``.
+    """
+    tableau = [list(row) for row in tableau]
+    n = len(tableau)
+    corners = [row[-1] for row in tableau]  # the cell (r, n-1-r) of each row
+    letters = []
+    for offset in range(0, -longest_word_length(n), -1):
+        r = start = corners.index(max(corners))
+        c = n - 1 - r
+        letters.append(c + 1)
+        row = tableau[r]
+        while r and c:
+            up, left = tableau[r - 1][c], row[c - 1]
+            if up > left:
+                row[c] = up
+                r -= 1
+                row = tableau[r]
+            else:
+                row[c] = left
+                c -= 1
+        while r:
+            tableau[r][0] = tableau[r - 1][0]
+            r -= 1
+        row = tableau[0]
+        row[1 : c + 1] = row[:c]
+        row[0] = offset
+        corners[start] = tableau[start][-1]
+    return tuple(letters)
+
+
 def root_ordering(word: ReducedWord) -> tuple[tuple[int, int], ...]:
     """The ordering of positive roots induced by the word.
 

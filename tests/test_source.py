@@ -51,3 +51,30 @@ def test_no_unused_imports():
 def test_init_exports_exactly_its_imports():
     tree = parse(PACKAGE / "__init__.py")
     assert sorted(imported_names(tree)) == sorted(lusztig_cones.__all__)
+
+
+def floating_point(node):
+    """True for a true division, a float literal, a ``float(...)`` call or
+    a ``.random()``/``.uniform()`` call."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == "float") or (
+            isinstance(f, ast.Attribute) and f.attr in ("random", "uniform")
+        )
+    return False
+
+
+def test_integers_only():
+    # "no floating point anywhere": exact integer arithmetic throughout,
+    # and random draws by randrange, never by uniform reals
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(parse(path))
+        if floating_point(node)
+    ]
+    assert found == []

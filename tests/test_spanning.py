@@ -1,15 +1,17 @@
+import functools
 import json
+import math
 import os
-import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lusztig_cones import cone, spanning, wiring
+from lusztig_cones import cone, spanning, wiring, words
 from lusztig_cones.cone import (
     CertificateError,
     ChamberLabel,
@@ -31,8 +33,7 @@ from lusztig_cones.words import (
     ReducedWord,
     apply_braid_move,
     enumerate_reduced_words,
-    long_move_positions,
-    root_ordering,
+    is_reduced_word_for_w0,
     short_move_positions,
     staircase_word,
 )
@@ -280,6 +281,22 @@ class TestVerifyAll:
         with pytest.raises(ValueError):
             verify_all(2, mode="all")
 
+    @pytest.mark.parametrize(
+        "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]
+    )
+    def test_validates_each_word_once(self, monkeypatch, mode, count, calls):
+        real = words.is_reduced_word_for_w0
+        seen = []
+
+        def counting(letters, n):
+            seen.append(letters)
+            return real(letters, n)
+
+        monkeypatch.setattr(words, "is_reduced_word_for_w0", counting)
+        report = verify_all(4, mode=mode, count=count)
+        assert (report.checked, report.mismatches) == (calls, [])
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_names_the_word(self, monkeypatch, jobs):
         real = spanning.verify_theorem
@@ -296,6 +313,27 @@ class TestVerifyAll:
         assert "ArithmeticError: planted failure" in str(info.value)
 
 
+def chi_square(sample, n):
+    """Pearson's statistic of ``sample`` against the uniform law on every
+    reduced word of rank n, and its rejection bound: the chi-square
+    quantile at p = 1e-6 (normal quantile 4.7534) by the Wilson–Hilferty
+    approximation."""
+    support = {w.letters for w in enumerate_reduced_words(n)}
+    counts = Counter(w.letters for w in sample)
+    assert set(counts) <= support
+    expected = len(sample) / len(support)
+    statistic = sum((counts[x] - expected) ** 2 for x in support) / expected
+    df = len(support) - 1
+    bound = df * (1 - 2 / (9 * df) + 4.7534 * math.sqrt(2 / (9 * df))) ** 3
+    return statistic, bound
+
+
+@functools.lru_cache(maxsize=None)
+def uniform_sample(n):
+    """20 draws per reduced word of rank n, at seed 0."""
+    return random_words(n, 20 * sum(1 for _ in enumerate_reduced_words(n)), 0)
+
+
 class TestRandomWords:
     def test_counts_and_validity(self):
         ws = random_words(5, 10, seed=9)
@@ -306,25 +344,20 @@ class TestRandomWords:
     def test_seed_changes_sample(self):
         assert random_words(5, 10, seed=1) != random_words(5, 10, seed=2)
 
-    @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("seed", [0, 1, 3, 9, 12345])
-    def test_matches_reference_walk(self, n, seed):
-        assert random_words(n, 8, seed) == reference_walk(n, 8, seed)
-
     def test_rank_one_stays_put(self):
         assert random_words(1, 3, seed=0) == [staircase_word(1)] * 3
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_every_sample_is_reduced(self, n):
+        for w in random_words(n, 8, seed=n):
+            assert w.n == n and is_reduced_word_for_w0(w.letters, n)
 
-def reference_walk(n, count, seed):
-    """The walk on validated words, one braid move at a time."""
-    rng = random.Random(seed)
-    word = staircase_word(n)
-    out = []
-    for _ in range(count):
-        for _ in range(4 * word.k):
-            moves = [(p, "short") for p in short_move_positions(word)]
-            moves += [(p, "long") for p in long_move_positions(word)]
-            pos, kind = rng.choice(moves)
-            word = apply_braid_move(word, pos, kind)
-        out.append(word)
-    return out
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_uniform_chi_square(self, n):
+        statistic, bound = chi_square(uniform_sample(n), n)
+        assert statistic < bound
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reaches_every_word(self, n):
+        reached = {w.letters for w in uniform_sample(n)}
+        assert reached == {w.letters for w in enumerate_reduced_words(n)}

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import deque
 
 import pytest
@@ -10,7 +11,9 @@ from lusztig_cones.words import (
     apply_braid_move,
     braid_neighbors,
     commutation_class,
+    edelman_greene,
     enumerate_reduced_words,
+    hook_walk_tableau,
     is_reduced_word_for_w0,
     root_ordering,
     staircase_word,
@@ -194,3 +197,81 @@ class TestRootOrdering:
                 ro2 = list(root_ordering(apply_braid_move(w, p, "long")))
                 ro2[p - 1], ro2[p + 1] = ro2[p + 1], ro2[p - 1]
                 assert tuple(ro2) == ro
+
+
+def staircase_tableaux(n):
+    """Every standard Young tableau of shape (n, n-1, ..., 1), as rows."""
+    shape = list(range(n, 0, -1))
+    rows = [[] for _ in shape]
+
+    def fill(m):
+        if m > len(shape) * (n + 1) // 2:
+            yield [list(row) for row in rows]
+        for r, row in enumerate(rows):
+            if len(row) < shape[r] and (r == 0 or len(rows[r - 1]) > len(row)):
+                row.append(m)
+                yield from fill(m + 1)
+                row.pop()
+
+    return fill(1)
+
+
+def textbook_promotion(tableau):
+    """Edelman–Greene as first stated: read the column of the largest
+    entry's cell, slide the hole to the top left cell, fill it with 0 and
+    add 1 to every entry (the oracle)."""
+    t = [list(row) for row in tableau]
+    n = len(t)
+    k = n * (n + 1) // 2
+    letters = []
+    for _ in range(k):
+        r, c = next((r, c) for r, row in enumerate(t) for c, x in enumerate(row) if x == k)
+        letters.append(c + 1)
+        while (r, c) != (0, 0):
+            up = t[r - 1][c] if r else -1
+            left = t[r][c - 1] if c else -1
+            if up > left:
+                t[r][c], r = up, r - 1
+            else:
+                t[r][c], c = left, c - 1
+        t[0][0] = 0
+        t = [[x + 1 for x in row] for row in t]
+    return tuple(letters)
+
+
+def is_standard(tableau, n):
+    entries = sorted(x for row in tableau for x in row)
+    columns = [[row[c] for row in tableau if c < len(row)] for c in range(n)]
+    return (
+        [len(row) for row in tableau] == list(range(n, 0, -1))
+        and entries == list(range(1, n * (n + 1) // 2 + 1))
+        and all(line == sorted(line) for line in tableau + columns)
+    )
+
+
+class TestSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_edelman_greene_is_a_bijection(self, n):
+        tableaux = list(staircase_tableaux(n))
+        assert len(tableaux) == staircase_tableaux_count(n)
+        got = [edelman_greene(t) for t in tableaux]
+        assert sorted(got) == [w.letters for w in enumerate_reduced_words(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_offsets_match_textbook_promotion(self, n):
+        for t in staircase_tableaux(n):
+            assert edelman_greene(t) == textbook_promotion(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_hook_walk_gives_standard_tableaux(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            t = hook_walk_tableau(n, rng)
+            assert is_standard(t, n)
+            rows = [list(row) for row in t]
+            assert edelman_greene(t) == textbook_promotion(t)
+            assert t == rows  # promotion leaves its argument alone
+
+    def test_rank_one(self):
+        assert hook_walk_tableau(1, random.Random(0)) == [[1]]
+        assert edelman_greene([[1]]) == (1,)
