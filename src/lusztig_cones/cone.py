@@ -8,9 +8,14 @@ adjacent in the Dynkin diagram).  The rows come from the word's one
 wiring trace; in root coordinates a chamber row has at most six nonzeros.
 
 The theorem is verified by certificate: for integer columns V,
-``certify_inverse`` checks every entry of M·V = I using only each row's
-nonzeros, which for square integer matrices proves V = M^-1 and
-det M = +-1.  Fraction-free (Bareiss) inversion, ``exact_inverse`` and
+``certify_inverse`` checks V·M = I, which for square integer matrices
+proves V = M^-1 and det M = +-1.  Each column of V is packed into one
+Python int, one lane of bits per positive root (``pack``), so column j of
+V·M is a signed sum of the at most five packed columns whose rows touch
+root j: O(k·nnz) big-int operations on k-lane ints, done in C.  The lanes
+are widened whenever the data could make one overflow into the next
+(``lane_width``), so the packed comparison is always exact.
+Fraction-free (Bareiss) inversion, ``exact_inverse`` and
 ``invert_unimodular``, stays as the independent oracle of the tests and
 as the fallback that finds the true inverse column when a certificate
 fails.
@@ -25,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import add, mul, sub
 from typing import Union
 
 from .wiring import build_wiring, chambers
@@ -164,34 +167,65 @@ def cone_matrix(word: ReducedWord) -> ConeMatrix:
     return ConeMatrix(word=word, labels=labels, rows=tuple(dense))
 
 
+def lane_width(bound: int) -> int:
+    """Bits per lane of a packed integer vector whose lanes may hold any
+    value in [-bound, bound]: the least multiple of 8 with
+    bound < 2^(width-1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def pack(values, width: int) -> int:
+    """The nonnegative ``values``, each below 2^width, as one int: entry i
+    in bits [width·i, width·(i+1))."""
+    if width == 8:
+        return int.from_bytes(bytes(values), "little")
+    size = width // 8
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
+
+
+def unpack(x: int, k: int, width: int) -> tuple[int, ...]:
+    """The k nonnegative lanes of ``x``; inverse of ``pack``."""
+    if width == 8:
+        return tuple(x.to_bytes(k, "little"))
+    size = width // 8
+    data = x.to_bytes(k * size, "little")
+    return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+
+
 def certify_inverse(rows, columns) -> bool:
     """Whether the integer ``columns`` are exactly the inverse of the square
     matrix with the given sparse ``rows``, and have no negative entry.
 
     ``rows[r]`` lists the (column, coefficient) pairs of row r's nonzeros;
-    ``columns[c][i]`` is entry (i, c) of the candidate inverse V.  Every
-    entry of M·V is compared with the identity, at O(k^2·nnz) small-integer
-    operations.  For square integer matrices M·V = I proves V = M^-1 and
-    det M = +-1.
+    ``columns[c][i]`` is entry (i, c) of the candidate inverse V.  Each
+    column of V is packed into one int (``pack``), and V·M = I is checked
+    column by column: column j of V·M is the sum of a·V[:, c] over the
+    nonzeros a = M[c][j] (at most five in a cone's matrix), compared with
+    the unit vector ``1 << width·j``.  The comparison is exact because the
+    lanes are wide enough for every entry of V·M: |(V·M)[i][j]| is at most
+    max(V) times the largest absolute column sum of M, and ``lane_width``
+    of that bound leaves a sign bit spare.  For square integer matrices
+    V·M = I proves V = M^-1 and det M = +-1.
     """
     k = len(rows)
     if len(columns) != k or any(len(col) != k for col in columns):
         return False
     if any(min(col) < 0 for col in columns):
         return False
-    v_rows = list(zip(*columns))  # v_rows[i][c] = columns[c][i]
-    for r, row in enumerate(rows):
-        acc = repeat(0, k)
-        for i, a in row:
-            if a == 1:
-                acc = map(add, acc, v_rows[i])
-            elif a == -1:
-                acc = map(sub, acc, v_rows[i])
-            else:
-                acc = map(add, acc, map(mul, repeat(a, k), v_rows[i]))
-        acc = list(acc)
-        acc[r] -= 1
-        if any(acc):
+    touching = [[] for _ in range(k)]  # touching[j]: (c, M[c][j]) for M[c][j] != 0
+    weight = [0] * k  # weight[j]: sum of |M[c][j]| over c
+    for c, row in enumerate(rows):
+        for j, a in row:
+            touching[j].append((c, a))
+            weight[j] += abs(a)
+    top = max(map(max, columns), default=0)
+    width = lane_width(top * max(max(weight, default=0), 1))
+    packed = [pack(col, width) for col in columns]
+    for j, col in enumerate(touching):
+        acc = 0
+        for c, a in col:
+            acc += a * packed[c]
+        if acc != 1 << width * j:
             return False
     return True
 
@@ -264,8 +298,9 @@ def invert_unimodular(M: ConeMatrix) -> SpanningSet:
     if det not in (1, -1):
         raise UnimodularityError(f"determinant {det} is not +-1")
     columns = tuple(zip(*inv))
-    if any(x < 0 for col in columns for x in col):
-        raise UnimodularityError("inverse has a negative entry")
+    for label, col in zip(M.labels, columns):
+        if min(col) < 0:
+            raise UnimodularityError(f"the inverse column of {label} has a negative entry")
     sparse = [tuple((c, a) for c, a in enumerate(row) if a) for row in M.rows]
     if not certify_inverse(sparse, columns):
         raise UnimodularityError("inverse check failed")

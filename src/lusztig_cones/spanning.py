@@ -5,13 +5,20 @@ simple root, plus one per bounded chamber; the latter depend only on the
 chamber's partial quiver P and equal the rounded-up half of the sum of
 the component indicator vectors of P.  ``verify_theorem`` checks this in
 root coordinates by certificate: the closed-form columns V pass iff
-M·V = I exactly for the defining matrix M, which proves V = M^-1.  Only
+V·M = I exactly for the defining matrix M, which proves V = M^-1.  Only
 when the certificate fails is M inverted (Bareiss), so that each mismatch
 carries the true inverse column.
+
+The columns are computed on packed integers, one lane of bits per
+positive root (``cone.pack``).  ``rank_table(n)``, built once per rank,
+holds the packed indicator of every component and simple root, so the
+column of P is one sum of table entries, then one add, one shift and one
+mask: the rounded-up half of the weight, in every lane at once.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -27,59 +34,97 @@ from .words import (
 )
 
 
+class RankTable:
+    """Packed integer vectors of rank n: one lane of ``width`` bits per
+    positive root, in the order of ``all_positive_roots(n)``
+    (``cone.pack``).
+
+    ``component[a, b]`` is the indicator of the roots (p, q) with
+    p < a <= b < q, for 2 <= a <= b <= n; ``simple[j - 1]`` is the
+    indicator of the roots with p <= j < q.  Each is the lanes of the roots
+    with p < a, a prefix of the lanes, ANDed with the lanes of the roots
+    with q > b.  ``ones`` holds 1 in every lane and ``mask``
+    2^(width-1) - 1 in every lane.  A lane holds up to n, the largest
+    weight plus one, without a carry into the next.
+    """
+
+    def __init__(self, n: int):
+        roots = all_positive_roots(n)
+        self.n, self.k = n, len(roots)
+        self.width = width = cone.lane_width(n)
+        self.ones = ones = cone.pack([1] * self.k, width)
+        self.mask = ones * ((1 << width - 1) - 1)
+        # the roots with p < a are the first (a-1)(2n+2-a)/2 lanes
+        before = {
+            a: ones & ((1 << width * ((a - 1) * (2 * n + 2 - a) // 2)) - 1)
+            for a in range(2, n + 2)
+        }
+        after = {b: cone.pack([int(q > b) for _, q in roots], width) for b in range(1, n + 1)}
+        self.component = {
+            (a, b): before[a] & after[b] for a in range(2, n + 1) for b in range(a, n + 1)
+        }
+        self.simple = tuple(before[j + 1] & after[j] for j in range(1, n + 1))
+
+    def vector(self, x: int) -> RootVector:
+        """The root vector whose lanes ``x`` packs."""
+        return RootVector(self.n, cone.unpack(x, self.k, self.width))
+
+
+@functools.lru_cache(maxsize=None)
+def rank_table(n: int) -> RankTable:
+    """The ``RankTable`` of rank n, built once."""
+    return RankTable(n)
+
+
 def v_simple(j: int, n: int) -> RootVector:
     """Indicator of the roots (p, q) with p <= j < j+1 <= q."""
     if not 1 <= j <= n:
         raise ValueError(f"simple root index {j} out of range [1, {n}]")
-    return RootVector(n, tuple(int(p <= j < q) for p, q in all_positive_roots(n)))
+    table = rank_table(n)
+    return table.vector(table.simple[j - 1])
 
 
 def v_component(Y: Component, n: int) -> RootVector:
     """Indicator of the roots (p, q) with p < a(Y) <= b(Y) < q."""
-    return RootVector(n, tuple(int(p < Y.a and Y.b < q) for p, q in all_positive_roots(n)))
+    if not 2 <= Y.a <= Y.b <= n:
+        raise ValueError(f"component edges [{Y.a}, {Y.b}] out of range [2, {n}]")
+    table = rank_table(n)
+    return table.vector(table.component[Y.a, Y.b])
+
+
+def _packed_weight(table: RankTable, P: PartialQuiver) -> int:
+    return sum(table.component[Y.a, Y.b] for Y in pquiver.components(P))
 
 
 def weight_vector(P: PartialQuiver) -> RootVector:
     """Sum of the component indicator vectors of P."""
-    n = P.n
-    total = [0] * len(all_positive_roots(n))
-    for Y in pquiver.components(P):
-        for idx, v in enumerate(v_component(Y, n).values):
-            total[idx] += v
-    return RootVector(n, tuple(total))
+    table = rank_table(P.n)
+    return table.vector(_packed_weight(table, P))
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:
     """Entrywise ceiling of half the weight vector (1/2 rounds up).
 
-    Built row by row of roots (p, .): the weight at (p, q) counts the
-    components Y with p < a(Y) and b(Y) < q.  The components are disjoint
-    runs, so those with p < a(Y) are a suffix of them ordered by a(Y), and
-    along q the weight rises by one just after each of their b(Y).
+    On the packed weight: add 1 to every lane, shift the whole int right by
+    one bit and clear the bit each lane received from the lane above.
     """
-    n = P.n
-    runs = pquiver.components(P)[::-1]  # right to left: a(Y) and b(Y) ascend
-    values: list[int] = []
-    first = 0
-    for p in range(1, n + 1):
-        while first < len(runs) and runs[first].a <= p:
-            first += 1
-        q = p + 1
-        for weight, Y in enumerate(runs[first:]):
-            values += [(weight + 1) // 2] * (Y.b + 1 - q)
-            q = Y.b + 1
-        values += [(len(runs) - first + 1) // 2] * (n + 2 - q)
-    return RootVector(n, tuple(values))
+    table = rank_table(P.n)
+    return table.vector((_packed_weight(table, P) + table.ones) >> 1 & table.mask)
 
 
 def formula_vectors(n: int, chamber_list) -> list[RootVector]:
     """The closed-form columns, in the label order of ``cone.root_rows``:
     ``v_simple(j)`` for j = 1..n, then ``v_partial_quiver`` of each chamber's
-    partial quiver.  An illegal chamber set raises ValueError."""
-    return [v_simple(j, n) for j in range(1, n + 1)] + [
-        v_partial_quiver(pquiver.partial_quiver_of(c.chamber_set, n))
-        for c in chamber_list
-    ]
+    partial quiver.  An illegal chamber set raises ValueError naming the
+    chamber's pair of positions."""
+    columns = [v_simple(j, n) for j in range(1, n + 1)]
+    for c in chamber_list:
+        try:
+            P = pquiver.partial_quiver_of(c.chamber_set, n)
+        except ValueError as exc:
+            raise ValueError(f"chamber ({c.left_pos}, {c.right_pos}): {exc}") from exc
+        columns.append(v_partial_quiver(P))
+    return columns
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,14 @@ class ReducedWord:
         return {"n": self.n, "word": list(self.letters)}
 
 
+def _reduced_by_construction(n: int, letters: tuple[int, ...]) -> ReducedWord:
+    """A ``ReducedWord`` built the way unpickling builds one, without
+    ``__post_init__``: only for letters that are reduced by construction."""
+    word = object.__new__(ReducedWord)
+    word.__dict__.update(n=n, letters=letters)
+    return word
+
+
 def staircase_word(n: int) -> ReducedWord:
     """The seed word (1, 2,1, 3,2,1, ..., n,...,1)."""
     letters = []
@@ -172,7 +180,8 @@ def enumerate_reduced_words(n: int) -> Iterator[ReducedWord]:
 
     A word of length n(n+1)/2 is reduced for w0 iff each letter i lengthens
     the product before it (``perm[i-1] < perm[i]``).  Depth first over those
-    letters, smallest first, so the staircase word comes first.
+    letters, smallest first, so the staircase word comes first.  The words
+    are reduced by construction and are not validated again.
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
@@ -180,7 +189,7 @@ def enumerate_reduced_words(n: int) -> Iterator[ReducedWord]:
 
     def extend(prefix, perm):
         if len(prefix) == k:
-            yield ReducedWord(n, prefix)
+            yield _reduced_by_construction(n, prefix)
         for i in range(1, n + 1):
             if perm[i - 1] < perm[i]:
                 swapped = perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]

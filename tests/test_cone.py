@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lusztig_cones import cone, spanning
 from lusztig_cones.cone import (
@@ -73,6 +75,34 @@ def sparse(rows):
     return [tuple((c, a) for c, a in enumerate(row) if a) for row in rows]
 
 
+def reference_certify(rows, columns):
+    """The entrywise certificate, oracle of the packed one: nonnegative
+    columns, and every entry of M·V compared with the identity using only
+    each row's nonzeros, at O(k^2·nnz) small-integer operations."""
+    k = len(rows)
+    if len(columns) != k or any(len(col) != k for col in columns):
+        return False
+    if any(min(col) < 0 for col in columns):
+        return False
+    v_rows = list(zip(*columns))  # v_rows[i][c] = columns[c][i]
+    for r, row in enumerate(rows):
+        acc = [0] * k
+        for i, a in row:
+            for c, x in enumerate(v_rows[i]):
+                acc[c] += a * x
+        acc[r] -= 1
+        if any(acc):
+            return False
+    return True
+
+
+# the non-inverse V = I of the matrix M = (257 0; -1 1): V·M has the
+# column (257, -1), which in 8-bit lanes reads 257 - 256 = 1, as the unit
+# column would
+ALIASING_ROWS = [((0, 257),), ((0, -1), (1, 1))]
+ALIASING_COLUMNS = [(1, 0), (0, 1)]
+
+
 class TestConeMatrix:
     def test_rank_two(self):
         M = cone_matrix(ReducedWord(2, (1, 2, 1)))
@@ -140,6 +170,65 @@ class TestCertificate:
     def test_rejects_wrong_shape(self):
         assert not certify_inverse([((0, 1),), ((1, 1),)], [(1, 0)])
         assert not certify_inverse([((0, 1),), ((1, 1),)], [(1,), (0, 1)])
+
+    def test_lane_guard_rejects_aliasing(self):
+        assert not reference_certify(ALIASING_ROWS, ALIASING_COLUMNS)
+        assert not certify_inverse(ALIASING_ROWS, ALIASING_COLUMNS)
+
+    @pytest.mark.parametrize("bound, width", [(0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 24)])
+    def test_lane_width(self, bound, width):
+        assert cone.lane_width(bound) == width
+
+    @pytest.mark.parametrize("width", [8, 16, 24])
+    def test_pack_round_trip(self, width):
+        values = (0, 1, 2 ** (width - 1), 2**width - 1, 5)
+        assert cone.unpack(cone.pack(values, width), 5, width) == values
+
+    @pytest.mark.parametrize("t", [0, 1, 41, 42, 127, 128, 300, 70000])
+    def test_accepts_wide_inverse(self, t):
+        # (1 -t; 0 1) has the inverse (1 t; 0 1), whose bound t·(t+1)
+        # needs lanes wider than a byte from t = 11 on
+        rows = [((0, 1), (1, -t)), ((1, 1),)]
+        assert certify_inverse(rows, [(1, 0), (t, 1)])
+        assert not certify_inverse(rows, [(1, 0), (t + 1, 1)])
+        assert not certify_inverse(rows, [(1, 0), (t, 2)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        cell=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+        change=st.one_of(
+            st.none(),
+            st.tuples(st.just("add"), st.sampled_from([1, -1, 128, -128])),
+            st.tuples(
+                st.just("set"),
+                st.sampled_from([0, 126, 127, 128, 129, 254, 255, 256, 257, 2**15, 2**16]),
+            ),
+            st.tuples(st.just("row"), st.integers(0, 300)),
+        ),
+    )
+    def test_packed_agrees_with_reference_and_bareiss(self, n, seed, cell, change):
+        # a word's own matrix and inverse, then one single-entry change of
+        # the columns, or an entry near a lane limit, or a row operation
+        # M' = M - t·(row c) at row r whose exact inverse has the column
+        # V_c + t·V_r, with entries past 8-bit lanes
+        (w,) = spanning.random_words(n, 1, seed)
+        k = w.k
+        dense = [list(row) for row in cone_matrix(w).rows]
+        c, r = cell[0] % k, cell[1] % k
+        if change and change[0] == "row" and r != c:
+            dense[r] = [x - change[1] * y for x, y in zip(dense[r], dense[c])]
+        det, inv = exact_inverse(dense)
+        exact = [list(col) for col in zip(*inv)]
+        columns = [list(col) for col in exact]
+        if change and change[0] == "add":
+            columns[c][r] += change[1]
+        elif change and change[0] == "set":
+            columns[c][r] = change[1]
+        expected = det in (1, -1) and columns == exact and min(map(min, columns)) >= 0
+        rows = sparse(dense)
+        assert certify_inverse(rows, columns) == reference_certify(rows, columns) == expected
 
     def test_general_coefficients(self):
         # (2 1; 1 1) has the inverse (1 -1; -1 2), rejected for its negative

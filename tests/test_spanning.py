@@ -19,7 +19,12 @@ from lusztig_cones.cone import (
     SimpleRootLabel,
     spanning_set,
 )
-from lusztig_cones.pquiver import Component, PartialQuiver, all_partial_quivers
+from lusztig_cones.pquiver import (
+    Component,
+    PartialQuiver,
+    all_partial_quivers,
+    components,
+)
 from lusztig_cones.spanning import (
     random_words,
     v_component,
@@ -45,6 +50,15 @@ def ones_at(n, roots):
     from lusztig_cones.cone import RootVector
 
     return RootVector.from_dict(n, {r: 1 for r in roots})
+
+
+def indicator_weight(P):
+    """The weight vector of P by definition: the number of components Y
+    of P with p < a(Y) and b(Y) < q, at each root (p, q)."""
+    return tuple(
+        sum(p < Y.a and Y.b < q for Y in components(P))
+        for p, q in words.all_positive_roots(P.n)
+    )
 
 
 class TestFormulas:
@@ -81,11 +95,43 @@ class TestFormulas:
         assert w.to_dict()[(2, 4)] == 1
         assert v_partial_quiver(P) == ones_at(3, [(1, 3), (1, 4), (2, 4)])
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_v_partial_quiver_is_rounded_half_weight(self, n):
         for P in all_partial_quivers(n):
             half = tuple(-(-x // 2) for x in weight_vector(P).values)
             assert v_partial_quiver(P) == RootVector(n, half)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_match_indicator_definitions(self, n):
+        roots = words.all_positive_roots(n)
+        for j in range(1, n + 1):
+            assert v_simple(j, n).values == tuple(int(p <= j < q) for p, q in roots)
+        for a in range(2, n + 1):
+            for b in range(a, n + 1):
+                indicator = tuple(int(p < a and b < q) for p, q in roots)
+                assert v_component(Component("R", a, b), n).values == indicator
+        for P in all_partial_quivers(n) if n >= 2 else ():
+            assert weight_vector(P).values == indicator_weight(P)
+
+    def test_v_component_out_of_range(self):
+        with pytest.raises(ValueError):
+            v_component(Component("R", 1, 2), 3)
+        with pytest.raises(ValueError):
+            v_component(Component("L", 3, 4), 3)
+
+    @pytest.mark.parametrize("width", [16, 24])
+    def test_wider_lanes(self, monkeypatch, width):
+        # ranks from 128 on need lanes of two bytes; force wider lanes at
+        # rank 6, on a table built afresh
+        monkeypatch.setattr(cone, "lane_width", lambda bound: width)
+        spanning.rank_table.cache_clear()
+        try:
+            assert spanning.rank_table(6).width == width
+            for P in all_partial_quivers(6):
+                half = tuple(-(-x // 2) for x in indicator_weight(P))
+                assert v_partial_quiver(P).values == half
+        finally:
+            spanning.rank_table.cache_clear()
 
 
 def bareiss_vectors(word):
@@ -285,6 +331,8 @@ class TestVerifyAll:
         "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]
     )
     def test_validates_each_word_once(self, monkeypatch, mode, count, calls):
+        # enumerated words are reduced by construction and not validated
+        validations = 0 if mode == "exhaustive" else calls
         real = words.is_reduced_word_for_w0
         seen = []
 
@@ -295,7 +343,7 @@ class TestVerifyAll:
         monkeypatch.setattr(words, "is_reduced_word_for_w0", counting)
         report = verify_all(4, mode=mode, count=count)
         assert (report.checked, report.mismatches) == (calls, [])
-        assert len(seen) == calls
+        assert len(seen) == validations
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_names_the_word(self, monkeypatch, jobs):

@@ -142,6 +142,13 @@ class TestEnumeration:
         assert ws[0] == staircase_word(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_word_is_reduced(self, n):
+        # enumeration builds its words without validating them again
+        for w in enumerate_reduced_words(n):
+            assert isinstance(w.letters, tuple) and w.n == n
+            assert is_reduced_word_for_w0(w.letters, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_braid_move_closure(self, n):
         ws = set(enumerate_reduced_words(n))
         assert ws == closure(staircase_word(n), braid_neighbors)
