@@ -15,10 +15,10 @@ V·M is a signed sum of the at most five packed columns whose rows touch
 root j: O(k·nnz) big-int operations on k-lane ints, done in C.  The lanes
 are widened whenever the data could make one overflow into the next
 (``lane_width``), so the packed comparison is always exact.
-Fraction-free (Bareiss) inversion, ``exact_inverse`` and
-``invert_unimodular``, stays as the independent oracle of the tests and
-as the fallback that finds the true inverse column when a certificate
-fails.
+Fraction-free (Bareiss) inversion, ``exact_inverse``, stays as the
+independent oracle of the tests (``invert_unimodular``, in position
+coordinates) and as the fallback that finds the true inverse column, on
+the sparse root rows, when a certificate fails (``checked_inverse``).
 
 Vectors live in two coordinate systems: *position* coordinates, aligned
 with the letters of the word, and *root* coordinates, indexed by the
@@ -71,19 +71,6 @@ class RootVector:
 
     def __getitem__(self, root: tuple[int, int]) -> int:
         return self.values[_root_index(self.n, root)]
-
-    @classmethod
-    def from_dict(cls, n: int, entries: dict) -> "RootVector":
-        values = [0] * (n * (n + 1) // 2)
-        unknown = []
-        for root, v in entries.items():
-            try:
-                values[_root_index(n, root)] = v
-            except (KeyError, TypeError, ValueError):
-                unknown.append(root)
-        if unknown:
-            raise ValueError(f"not positive roots of A_{n}: {sorted(unknown)}")
-        return cls(n, tuple(values))
 
     @classmethod
     def from_positions(cls, word: ReducedWord, coords) -> "RootVector":
@@ -287,23 +274,30 @@ class SpanningSet:
         idx = self.matrix.index[label]
         return RootVector.from_positions(self.matrix.word, self.columns[idx])
 
-    def root_vectors(self) -> dict:
-        return {lab: self.vector(lab) for lab in self.matrix.labels}
 
-
-def invert_unimodular(M: ConeMatrix) -> SpanningSet:
-    """Exact inverse of the defining matrix, with the unimodularity and
-    nonnegativity guarantees checked, never assumed."""
-    det, inv = exact_inverse(M.rows)
+def checked_inverse(labels, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Determinant and columns of the exact inverse of the square matrix
+    with the given sparse ``rows`` (as in ``certify_inverse``), one column
+    per row label, with the unimodularity and nonnegativity guarantees
+    checked, never assumed."""
+    k = len(rows)
+    det, inv = exact_inverse([[row.get(j, 0) for j in range(k)] for row in map(dict, rows)])
     if det not in (1, -1):
         raise UnimodularityError(f"determinant {det} is not +-1")
     columns = tuple(zip(*inv))
-    for label, col in zip(M.labels, columns):
+    for label, col in zip(labels, columns):
         if min(col) < 0:
             raise UnimodularityError(f"the inverse column of {label} has a negative entry")
-    sparse = [tuple((c, a) for c, a in enumerate(row) if a) for row in M.rows]
-    if not certify_inverse(sparse, columns):
+    if not certify_inverse(rows, columns):
         raise UnimodularityError("inverse check failed")
+    return det, columns
+
+
+def invert_unimodular(M: ConeMatrix) -> SpanningSet:
+    """Exact inverse of the defining matrix, in position coordinates
+    (``checked_inverse``)."""
+    sparse = [tuple((c, a) for c, a in enumerate(row) if a) for row in M.rows]
+    det, columns = checked_inverse(M.labels, sparse)
     return SpanningSet(matrix=M, det=det, columns=columns)
 
 

@@ -155,7 +155,8 @@ def verify_theorem(word: ReducedWord) -> TheoremReport:
     The word is traced once; its chambers give both the sparse rows of M
     and the closed-form columns V.  When ``cone.certify_inverse`` accepts V,
     V is M^-1 and each verdict's inverse is its certified column.  Otherwise
-    M is inverted exactly, and the verdicts carry the true inverse columns;
+    the same sparse rows are inverted exactly (``cone.checked_inverse``),
+    and the verdicts carry the true inverse columns, in root coordinates;
     if those equal V after all, the certificate is at fault and
     ``cone.CertificateError`` is raised.
     """
@@ -166,8 +167,8 @@ def verify_theorem(word: ReducedWord) -> TheoremReport:
     if cone.certify_inverse(rows, [v.values for v in formulas]):
         inverses = formulas
     else:
-        by_label = cone.spanning_set(word).root_vectors()
-        inverses = [by_label[label] for label in labels]
+        _, columns = cone.checked_inverse(labels, rows)
+        inverses = [RootVector(n, col) for col in columns]
         if inverses == formulas:
             raise cone.CertificateError(
                 f"{word.letters}: the certificate rejects the closed-form "

@@ -93,70 +93,18 @@ def staircase_word(n: int) -> ReducedWord:
     return ReducedWord(n, tuple(letters))
 
 
-class BraidMoveError(ValueError):
-    """The requested braid move does not apply at the given position."""
-
-
-def apply_braid_move(word: ReducedWord, position: int, kind: str) -> ReducedWord:
-    """Apply a braid move at 1-based ``position``.
-
-    ``kind`` is "short" for (i, j) -> (j, i) with |i - j| >= 2, or "long"
-    for (i, j, i) -> (j, i, j) with |i - j| = 1.
-    """
-    letters = list(word.letters)
-    p = position - 1
-    if kind == "short":
-        if not 0 <= p < word.k - 1:
-            raise BraidMoveError(f"position {position} out of range")
-        a, b = letters[p], letters[p + 1]
-        if abs(a - b) < 2:
-            raise BraidMoveError(f"letters ({a}, {b}) at {position} do not commute")
-        letters[p], letters[p + 1] = b, a
-    elif kind == "long":
-        if not 0 <= p < word.k - 2:
-            raise BraidMoveError(f"position {position} out of range")
-        a, b, c = letters[p : p + 3]
-        if a != c or abs(a - b) != 1:
-            raise BraidMoveError(
-                f"letters ({a}, {b}, {c}) at {position} are not (i, j, i) with |i-j|=1"
-            )
-        letters[p : p + 3] = [b, a, b]
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    return ReducedWord(word.n, tuple(letters))
-
-
-def short_moves(letters) -> list[int]:
-    """0-based positions p where letters p, p+1 commute (a short braid move)."""
-    return [p for p in range(len(letters) - 1) if abs(letters[p] - letters[p + 1]) >= 2]
-
-
-def long_moves(letters) -> list[int]:
-    """0-based positions p where letters p..p+2 read (i, j, i) with |i-j| = 1
-    (a long braid move)."""
-    return [
-        p
-        for p in range(len(letters) - 2)
-        if letters[p] == letters[p + 2] and abs(letters[p] - letters[p + 1]) == 1
-    ]
-
-
-def short_move_positions(word: ReducedWord) -> list[int]:
-    """1-based positions where a short braid move applies."""
-    return [p + 1 for p in short_moves(word.letters)]
-
-
-def long_move_positions(word: ReducedWord) -> list[int]:
-    """1-based positions where a long braid move applies."""
-    return [p + 1 for p in long_moves(word.letters)]
-
-
 def braid_neighbors(word: ReducedWord) -> Iterator[ReducedWord]:
-    """All words one braid move (of either kind) away."""
-    for p in short_move_positions(word):
-        yield apply_braid_move(word, p, "short")
-    for p in long_move_positions(word):
-        yield apply_braid_move(word, p, "long")
+    """All words one braid move away, left to right: first every short move
+    (i, j) -> (j, i) with |i - j| >= 2, then every long move
+    (i, j, i) -> (j, i, j) with |i - j| = 1.  A braid move keeps a reduced
+    word reduced, so the neighbours are not validated again."""
+    n, w = word.n, word.letters
+    for p, (a, b) in enumerate(zip(w, w[1:])):
+        if abs(a - b) >= 2:
+            yield _reduced_by_construction(n, w[:p] + (b, a) + w[p + 2 :])
+    for p, (a, b, c) in enumerate(zip(w, w[1:], w[2:])):
+        if a == c and abs(a - b) == 1:
+            yield _reduced_by_construction(n, w[:p] + (b, a, b) + w[p + 3 :])
 
 
 def commutation_class(word: ReducedWord) -> set[ReducedWord]:

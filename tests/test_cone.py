@@ -302,7 +302,7 @@ class TestMembership:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            contains(FIG_WORD, RootVector.from_dict(2, {}))
+            contains(FIG_WORD, RootVector(2, (0, 0, 0)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_redundancy_of_nonnegativity(self, n):

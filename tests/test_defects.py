@@ -15,10 +15,8 @@ from lusztig_cones.cone import ChamberLabel, RootVector, spanning_set
 from lusztig_cones.pquiver import partial_quiver_of
 from lusztig_cones.words import (
     all_positive_roots,
-    apply_braid_move,
+    braid_neighbors,
     enumerate_reduced_words,
-    long_move_positions,
-    short_move_positions,
     staircase_word,
 )
 
@@ -33,10 +31,7 @@ def reference_walk(n, count, seed):
     out = []
     for _ in range(count):
         for _ in range(4 * word.k):
-            moves = [(p, "short") for p in short_move_positions(word)]
-            moves += [(p, "long") for p in long_move_positions(word)]
-            pos, kind = rng.choice(moves)
-            word = apply_braid_move(word, pos, kind)
+            word = rng.choice(list(braid_neighbors(word)))
         out.append(word)
     return out
 
@@ -98,6 +93,36 @@ def test_shifted_chamber_set_is_reported_or_raises(monkeypatch):
             reported += 1
     assert raised and reported and raised + reported == 768
     with pytest.raises(ValueError, match=r"^word \(1, 2, 1, 3, 2, 1, 4, 3, 2, 1\): .*chamber"):
+        spanning.verify_all(4)
+
+
+def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
+    # every chamber row keeps -1 at its left and right crossings and +1 at
+    # the crossings below it, but loses the +1 at those above it
+    real = cone.root_rows
+
+    def no_above(n, chamber_list):
+        return real(n, [dataclasses.replace(c, above=()) for c in chamber_list])
+
+    changed = []
+    for word in enumerate_reduced_words(4):
+        chamber_list = wiring.chambers(wiring.build_wiring(word))
+        if no_above(4, chamber_list) != real(4, chamber_list):
+            changed.append(word)
+    monkeypatch.setattr(cone, "root_rows", no_above)
+    raised, reported = [], []
+    for word in changed:
+        try:
+            report = spanning.verify_theorem(word)
+        except cone.UnimodularityError:
+            raised.append(word)
+        else:
+            wrong = [v for v in report.verdicts if not v.equal]
+            assert wrong, f"word {word.letters}: rows without above crossings accepted"
+            assert report.word == word
+            reported.append(word)
+    assert raised and reported and len(raised) + len(reported) == len(changed)
+    with pytest.raises(ValueError, match=rf"^word {re.escape(str(raised[0].letters))}: "):
         spanning.verify_all(4)
 
 

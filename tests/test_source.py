@@ -1,9 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import lusztig_cones
 
 PACKAGE = Path(lusztig_cones.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def parse(path):
@@ -78,3 +80,49 @@ def test_integers_only():
         if floating_point(node)
     ]
     assert found == []
+
+
+def bench_uses():
+    """(module, name) for every name the benchmark takes from the package:
+    ``from lusztig_cones.m import name``, ``m.name`` after
+    ``from lusztig_cones import m``, and (m, None) for each module it
+    imports."""
+    uses = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = parse(path)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                uses |= {
+                    (a.name.partition(".")[2], None)
+                    for a in node.names
+                    if a.name.startswith("lusztig_cones.")
+                }
+            elif isinstance(node, ast.ImportFrom) and node.module == "lusztig_cones":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+                uses |= {(a.name, None) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "lusztig_cones."
+            ):
+                module = node.module.partition(".")[2]
+                uses |= {(module, a.name) for a in node.names}
+        uses |= {
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+    return uses
+
+
+def test_bench_names_exist():
+    # the benchmark imports the package by name; a deletion here must not
+    # break its traced mode unnoticed
+    uses = bench_uses()
+    assert {("words", "braid_neighbors"), ("cone", "spanning_set"), ("cli", None)} <= uses
+    modules = {m: importlib.import_module(f"lusztig_cones.{m}") for m, _ in uses}
+    missing = [
+        f"{m}.{name}" for m, name in sorted(uses, key=str) if name and not hasattr(modules[m], name)
+    ]
+    assert missing == []

@@ -36,10 +36,9 @@ from lusztig_cones.spanning import (
 )
 from lusztig_cones.words import (
     ReducedWord,
-    apply_braid_move,
+    braid_neighbors,
     enumerate_reduced_words,
     is_reduced_word_for_w0,
-    short_move_positions,
     staircase_word,
 )
 
@@ -47,9 +46,7 @@ FIG_WORD = ReducedWord(3, (1, 3, 2, 1, 3, 2))
 
 
 def ones_at(n, roots):
-    from lusztig_cones.cone import RootVector
-
-    return RootVector.from_dict(n, {r: 1 for r in roots})
+    return RootVector(n, tuple(int(r in roots) for r in words.all_positive_roots(n)))
 
 
 def indicator_weight(P):
@@ -197,12 +194,13 @@ class TestVerifyTheorem:
         assert all(len(vs) == 1 for vs in by_set.values())
 
     def test_braid_transport_of_columns(self):
-        # all spanning vectors, root-indexed, agree across braid neighbours
+        # all spanning vectors, root-indexed, agree across short braid moves
+        # (the neighbours with the same letters)
         for w in enumerate_reduced_words(3):
-            ref = {v for v in spanning_set(w).root_vectors().values()}
-            for p in short_move_positions(w):
-                w2 = apply_braid_move(w, p, "short")
-                assert {v for v in spanning_set(w2).root_vectors().values()} == ref
+            ref = set(bareiss_vectors(w))
+            for w2 in braid_neighbors(w):
+                if sorted(w2.letters) == sorted(w.letters):
+                    assert set(bareiss_vectors(w2)) == ref
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_bareiss_exhaustive(self, n):
@@ -235,6 +233,29 @@ class TestVerifyTheorem:
         assert bad.label == ChamberLabel(1, 4)
         assert bad.inverse == spanning_set(FIG_WORD).vector(bad.label)
         assert bad.formula.values[0] == bad.inverse.values[0] + 1
+
+    def test_fallback_traces_the_word_once(self, monkeypatch):
+        # the fallback inverts the root rows verify_theorem already built:
+        # no second wiring trace and no root ordering per label
+        oracle = spanning_set(FIG_WORD).vector(ChamberLabel(1, 4))
+        corrupt(monkeypatch, PartialQuiver.from_string("-R", 3))
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module in (wiring, cone):
+            monkeypatch.setattr(module, "build_wiring", counted(module.build_wiring))
+        for module in (words, cone):
+            monkeypatch.setattr(module, "root_ordering", counted(module.root_ordering))
+        report = verify_theorem(FIG_WORD)
+        (bad,) = [v for v in report.verdicts if not v.equal]
+        assert (bad.label, bad.inverse) == (ChamberLabel(1, 4), oracle)
+        assert calls == {"build_wiring": 1}
 
     def test_corrupted_formula_under_optimize(self):
         # asserts vanish under -O; the rejection and decompose's

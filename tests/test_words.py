@@ -6,9 +6,7 @@ import pytest
 
 from lusztig_cones import words
 from lusztig_cones.words import (
-    BraidMoveError,
     ReducedWord,
-    apply_braid_move,
     braid_neighbors,
     commutation_class,
     edelman_greene,
@@ -45,8 +43,20 @@ def closure(seed, moves):
     return seen
 
 
+def moves(word):
+    """(0-based position, kind, neighbour) of every braid move from ``word``:
+    a short move keeps the multiset of letters and a long move changes it;
+    the position is the first letter that differs."""
+    out = []
+    for nb in braid_neighbors(word):
+        p = next(i for i, (a, b) in enumerate(zip(word.letters, nb.letters)) if a != b)
+        kind = "short" if sorted(nb.letters) == sorted(word.letters) else "long"
+        out.append((p, kind, nb))
+    return out
+
+
 def short_neighbors(word):
-    return [apply_braid_move(word, p, "short") for p in words.short_move_positions(word)]
+    return [nb for _, kind, nb in moves(word) if kind == "short"]
 
 
 class TestValidation:
@@ -83,28 +93,24 @@ class TestValidation:
 class TestBraidMoves:
     def test_short(self):
         w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
-        assert apply_braid_move(w, 1, "short").letters == (3, 1, 2, 1, 3, 2)
+        assert [(p, v.letters) for p, _, v in moves(w)] == [
+            (0, (3, 1, 2, 1, 3, 2)),
+            (3, (1, 3, 2, 3, 1, 2)),
+        ]
+        assert [kind for _, kind, _ in moves(w)] == ["short", "short"]
 
     def test_long(self):
         w = ReducedWord(2, (1, 2, 1))
-        assert apply_braid_move(w, 1, "long").letters == (2, 1, 2)
-
-    def test_short_not_applicable(self):
-        w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
-        with pytest.raises(BraidMoveError):
-            apply_braid_move(w, 2, "short")
-
-    def test_long_not_applicable(self):
-        w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
-        with pytest.raises(BraidMoveError):
-            apply_braid_move(w, 1, "long")
+        assert [(p, kind, v.letters) for p, kind, v in moves(w)] == [(0, "long", (2, 1, 2))]
 
     def test_moves_preserve_validity(self):
-        for w in enumerate_reduced_words(3):
-            for p in words.short_move_positions(w):
-                apply_braid_move(w, p, "short")  # constructor validates
-            for p in words.long_move_positions(w):
-                apply_braid_move(w, p, "long")
+        # neighbours are reduced by construction and not validated again
+        for n in range(1, 5):
+            for w in enumerate_reduced_words(n):
+                kinds = [kind for _, kind, _ in moves(w)]
+                assert kinds == sorted(kinds, reverse=True)  # short moves first
+                for nb in braid_neighbors(w):
+                    assert nb.n == n and is_reduced_word_for_w0(nb.letters, n)
 
 
 class TestCommutationClass:
@@ -192,18 +198,20 @@ class TestRootOrdering:
     def test_short_move_swaps_two_roots(self):
         for w in enumerate_reduced_words(3):
             ro = root_ordering(w)
-            for p in words.short_move_positions(w):
-                ro2 = list(root_ordering(apply_braid_move(w, p, "short")))
-                ro2[p - 1], ro2[p] = ro2[p], ro2[p - 1]
-                assert tuple(ro2) == ro
+            for p, kind, nb in moves(w):
+                if kind == "short":
+                    ro2 = list(root_ordering(nb))
+                    ro2[p], ro2[p + 1] = ro2[p + 1], ro2[p]
+                    assert tuple(ro2) == ro
 
     def test_long_move_swaps_outer_roots(self):
         for w in enumerate_reduced_words(3):
             ro = root_ordering(w)
-            for p in words.long_move_positions(w):
-                ro2 = list(root_ordering(apply_braid_move(w, p, "long")))
-                ro2[p - 1], ro2[p + 1] = ro2[p + 1], ro2[p - 1]
-                assert tuple(ro2) == ro
+            for p, kind, nb in moves(w):
+                if kind == "long":
+                    ro2 = list(root_ordering(nb))
+                    ro2[p], ro2[p + 2] = ro2[p + 2], ro2[p]
+                    assert tuple(ro2) == ro
 
 
 def staircase_tableaux(n):
