@@ -3,8 +3,8 @@
 Words and points are given as comma-separated integers; points are in
 position coordinates (matching the word as typed) and printed in both
 coordinate systems.  Output defaults to stdout; ``--out FILE`` writes to
-a file.  Exit status: 0 on success, 1 on a domain error (structured JSON
-on stderr) or on verification mismatches, 2 on bad arguments.
+a file.  Exit status: 0 on success, 1 on a domain error or an unwritable
+file (structured JSON on stderr) or on mismatches, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def cmd_pq(args) -> int:
     else:
         P = pquiver.PartialQuiver.from_string(args.pq, args.n)
     members = sorted(pquiver.chamber_set_of(P))
-    comps = pquiver.components(P)
-    vec = spanning.v_partial_quiver(P)
+    comps = pquiver.chamber_components(members, P.n)
+    vec = spanning.chamber_column(members, P.n)
     if args.format == "json":
         payload = {
             "n": P.n,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

@@ -6,9 +6,10 @@ A partial quiver directs a nonempty contiguous interval of edges, each L
 i.e. from edge n down to edge 2, as in ``---LRLL-``.
 
 The map ``chamber_set_of`` is a bijection between partial quivers and
-legal chamber sets; ``bfz_word`` builds a reduced word compatible with a
-full quiver from its sequence of sinks, each found after reflecting the
-quiver at the sinks before it.
+legal chamber sets.  Chamber sets are canonical: ``chamber_components``
+reads the components straight off one, and a partial quiver is a view.
+``bfz_word`` builds a reduced word compatible with a full quiver from its
+sinks, each found after reflecting the quiver at the sinks before it.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ class PartialQuiver:
 
     @classmethod
     def from_string(cls, s: str, n: int | None = None) -> "PartialQuiver":
-        if n is None:
-            n = len(s) + 1
-        return cls(n, tuple(s))
+        return cls(len(s) + 1 if n is None else n, tuple(s))
 
     def __str__(self) -> str:
         return "".join(self.symbols)
@@ -111,13 +110,7 @@ def leq(P: PartialQuiver, P2: PartialQuiver) -> bool:
 
 def components(P: PartialQuiver) -> list[Component]:
     """Maximal same-orientation runs, left to right."""
-    result = []
-    b = P.leftmost
-    for sym, run in itertools.groupby(str(P).strip("-")):
-        a = b + 1 - len(list(run))
-        result.append(Component(sym, a, b))
-        b = a - 1
-    return result
+    return chamber_components(chamber_set_of(P), P.n)
 
 
 def chamber_set_of(P: PartialQuiver) -> frozenset[int]:
@@ -129,21 +122,31 @@ def chamber_set_of(P: PartialQuiver) -> frozenset[int]:
     return frozenset(l1 | l2 | l3)
 
 
-def partial_quiver_of(members, n: int) -> PartialQuiver:
-    """The partial quiver labelling a chamber set (inverse bijection)."""
-    s = set(members)
+def chamber_components(members, n: int) -> list[Component]:
+    """The components of the chamber set's partial quiver, left to right.
+
+    Edge e points left iff string e is in the set, and the directed edges
+    run from b down to a, where a (b) is the first edge e >= 2 (e <= n)
+    whose membership differs from string 1's (n+1's).  So the components
+    are the runs of equal membership over strings n+1..1 but the end ones.
+    """
+    s = frozenset(members)
     if not wiring.is_chamber_set(s, n):
         raise ValueError(f"{sorted(s)} is not a chamber set for n={n}")
-    complement = set(range(1, n + 2)) - s
-    # 2 <= a <= b <= n, because s is neither an initial nor a final interval
-    a = min(complement) if 1 in s else min(s)
-    b = max(complement) if n + 1 in s else max(s)
-    symbols = []
-    for e in range(n, 1, -1):
-        if a <= e <= b:
-            symbols.append("L" if e in s else "R")
-        else:
-            symbols.append("-")
+    result, top, above = [], n + 1, n + 1 in s
+    for e in range(n, 0, -1):
+        here = e in s
+        if here != above:
+            result.append(Component("L" if above else "R", e + 1, top))
+            top, above = e, here
+    return result[1:]
+
+
+def partial_quiver_of(members, n: int) -> PartialQuiver:
+    """The partial quiver labelling a chamber set (inverse bijection)."""
+    symbols = ["-"] * (n - 1)
+    for Y in chamber_components(members, n):
+        symbols[n - Y.b : n + 1 - Y.a] = Y.type * (Y.b - Y.a + 1)
     return PartialQuiver(n, tuple(symbols))
 
 
@@ -158,10 +161,7 @@ def all_partial_quivers(n: int) -> Iterator[PartialQuiver]:
     for a in range(2, n + 1):
         for b in range(a, n + 1):
             for interval in itertools.product("LR", repeat=b - a + 1):
-                symbols = ["-"] * (n - 1)
-                for idx, e in enumerate(range(b, a - 1, -1)):
-                    symbols[n - e] = interval[idx]
-                yield PartialQuiver(n, tuple(symbols))
+                yield PartialQuiver(n, ("-",) * (n - b) + interval + ("-",) * (a - 2))
 
 
 def sub_partial_quivers(Q: Quiver) -> Iterator[PartialQuiver]:

@@ -2,18 +2,18 @@
 
 Every Lusztig cone has n spanning vectors common to all words, one per
 simple root, plus one per bounded chamber; the latter depend only on the
-chamber's partial quiver P and equal the rounded-up half of the sum of
-the component indicator vectors of P.  ``verify_theorem`` checks this in
-root coordinates by certificate: the closed-form columns V pass iff
-V·M = I exactly for the defining matrix M, which proves V = M^-1.  Only
-when the certificate fails is M inverted (Bareiss), so that each mismatch
-carries the true inverse column.
+chamber set, and equal the rounded-up half of the sum of the indicator
+vectors of the components read off it (``pquiver.chamber_components``).
+``verify_theorem`` checks this in root coordinates by certificate: the
+closed-form columns V pass iff V·M = I exactly for the defining matrix M,
+which proves V = M^-1.  Only when the certificate fails is M inverted
+(Bareiss), so that each mismatch carries the true inverse column.
 
 The columns are computed on packed integers, one lane of bits per
 positive root (``cone.pack``).  ``rank_table(n)``, built once per rank,
-holds the packed indicator of every component and simple root, so the
-column of P is one sum of table entries, then one add, one shift and one
-mask: the rounded-up half of the weight, in every lane at once.
+holds the packed indicator of every component and simple root, so a
+chamber's column is one sum of table entries, then one add, one shift
+and one mask: the rounded-up half of the weight, in every lane at once.
 """
 
 from __future__ import annotations
@@ -92,38 +92,37 @@ def v_component(Y: Component, n: int) -> RootVector:
     return table.vector(table.component[Y.a, Y.b])
 
 
-def _packed_weight(table: RankTable, P: PartialQuiver) -> int:
-    return sum(table.component[Y.a, Y.b] for Y in pquiver.components(P))
-
-
 def weight_vector(P: PartialQuiver) -> RootVector:
     """Sum of the component indicator vectors of P."""
     table = rank_table(P.n)
-    return table.vector(_packed_weight(table, P))
+    return table.vector(sum(table.component[Y.a, Y.b] for Y in pquiver.components(P)))
+
+
+def chamber_column(members, n: int) -> RootVector:
+    """Entrywise ceiling of half the weight vector of the components of a
+    chamber set: add 1 to every lane of the packed weight, shift the whole
+    int right by one bit and clear the bit each lane got from the next."""
+    table = rank_table(n)
+    weight = sum(table.component[Y.a, Y.b] for Y in pquiver.chamber_components(members, n))
+    return table.vector((weight + table.ones) >> 1 & table.mask)
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:
-    """Entrywise ceiling of half the weight vector (1/2 rounds up).
-
-    On the packed weight: add 1 to every lane, shift the whole int right by
-    one bit and clear the bit each lane received from the lane above.
-    """
-    table = rank_table(P.n)
-    return table.vector((_packed_weight(table, P) + table.ones) >> 1 & table.mask)
+    """The column of P's chamber set, ``chamber_column``."""
+    return chamber_column(pquiver.chamber_set_of(P), P.n)
 
 
 def formula_vectors(n: int, chamber_list) -> list[RootVector]:
     """The closed-form columns, in the label order of ``cone.root_rows``:
-    ``v_simple(j)`` for j = 1..n, then ``v_partial_quiver`` of each chamber's
-    partial quiver.  An illegal chamber set raises ValueError naming the
-    chamber's pair of positions."""
+    ``v_simple(j)`` for j = 1..n, then ``chamber_column`` of each chamber's
+    set, with no partial quiver built.  An illegal chamber set raises
+    ValueError naming the chamber's pair of positions."""
     columns = [v_simple(j, n) for j in range(1, n + 1)]
     for c in chamber_list:
         try:
-            P = pquiver.partial_quiver_of(c.chamber_set, n)
+            columns.append(chamber_column(c.chamber_set, n))
         except ValueError as exc:
             raise ValueError(f"chamber ({c.left_pos}, {c.right_pos}): {exc}") from exc
-        columns.append(v_partial_quiver(P))
     return columns
 
 
@@ -247,10 +246,14 @@ def verify_all(
 
     The words enumeration or sampling built are checked as they are, and
     pickled to the ``jobs`` workers; unpickling does not validate them
-    again."""
+    again.  A run that would check no word raises ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if mode == "exhaustive":
         words = list(enumerate_reduced_words(n))
     elif mode == "sample":
+        if count < 1:
+            raise ValueError(f"count must be at least 1 in sample mode, got {count}")
         words = random_words(n, count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")

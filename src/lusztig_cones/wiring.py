@@ -46,14 +46,9 @@ class WiringDiagram:
 def is_chamber_set(members, n: int) -> bool:
     """A legal chamber set: nonempty, not an initial or final interval."""
     s = set(members)
-    if not s or not s <= set(range(1, n + 2)):
-        return False
-    m = len(s)
-    if s == set(range(1, m + 1)):  # [1, j]
-        return False
-    if s == set(range(n + 2 - m, n + 2)):  # [j, n+1]
-        return False
-    return True
+    m = len(s)  # the empty set is the initial interval [1, 0]
+    initial, final = set(range(1, m + 1)), set(range(n + 2 - m, n + 2))
+    return s <= set(range(1, n + 2)) and s != initial and s != final
 
 
 def build_wiring(word: ReducedWord) -> WiringDiagram:
@@ -81,7 +76,7 @@ def chambers(diagram: WiringDiagram) -> list[Chamber]:
     a chamber there, which the next crossing at that level closes.  The
     crossings one level up or down in between are its ``above`` and
     ``below``.  Legality of the chamber sets is not re-checked here;
-    ``pquiver.partial_quiver_of`` rejects an illegal one.
+    ``pquiver.chamber_components`` rejects an illegal one.
     """
     open_at: dict[int, tuple[Crossing, list, list]] = {}
     result = []

@@ -111,11 +111,12 @@ def commutation_class(word: ReducedWord) -> set[ReducedWord]:
     """Closure of ``word`` under short braid moves: the linear extensions of
     its heap (Viennot 1986).  Depth first, the next letter may be any
     remaining letter that commutes with every remaining letter before it;
-    equal letters never commute, so no word is reached twice."""
+    equal letters never commute, so no word is reached twice.  Each linear
+    extension of a reduced word's heap is reduced: none is validated."""
 
     def extend(prefix, rest):
         if not rest:
-            yield ReducedWord(word.n, prefix)
+            yield _reduced_by_construction(word.n, prefix)
         for p, i in enumerate(rest):
             if all(abs(i - j) >= 2 for j in rest[:p]):
                 yield from extend(prefix + (i,), rest[:p] + rest[p + 1 :])

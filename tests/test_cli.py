@@ -189,6 +189,13 @@ class TestErrors:
         assert code == 1
         assert "error" in json.loads(err)
 
+    def test_unwritable_out_is_structured_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify", "--n", "3", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert str(path) in json.loads(err)["error"]
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "command, fmt",
         [

@@ -44,10 +44,11 @@ def test_chi_square_rejects_the_braid_walk():
 
 
 def test_rounding_half_down_is_reported(monkeypatch):
-    def half_down(P):
-        return RootVector(P.n, tuple(x // 2 for x in spanning.weight_vector(P).values))
+    def half_down(members, n):
+        weight = spanning.weight_vector(partial_quiver_of(members, n))
+        return RootVector(n, tuple(x // 2 for x in weight.values))
 
-    monkeypatch.setattr(spanning, "v_partial_quiver", half_down)
+    monkeypatch.setattr(spanning, "chamber_column", half_down)
     report = spanning.verify_all(4)
     assert report.checked == 768 and report.mismatches
     by_word = {}
@@ -60,7 +61,7 @@ def test_rounding_half_down_is_reported(monkeypatch):
             for c in wiring.chambers(wiring.build_wiring(word))
         }
         for label, expected, got in records:
-            assert expected == half_down(partial_quiver_of(sets[label], 4))
+            assert expected == half_down(sets[label], 4)
             assert got == span.vector(label) != expected
     assert len(by_word) == 768
     record = report.to_json()["mismatches"][0]

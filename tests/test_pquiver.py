@@ -10,6 +10,7 @@ from lusztig_cones.pquiver import (
     all_partial_quivers,
     all_quivers,
     bfz_word,
+    chamber_components,
     chamber_crossings,
     chamber_set_of,
     components,
@@ -73,6 +74,18 @@ class TestLeq:
             leq(PartialQuiver.from_string("L-", 3), PartialQuiver.from_string("L", 2))
 
 
+def reference_components(P):
+    """Maximal same-orientation runs of P, left to right, read off its
+    display string: the definition, independent of chamber sets."""
+    result = []
+    b = P.leftmost
+    for sym, run in itertools.groupby(str(P).strip("-")):
+        a = b + 1 - len(list(run))
+        result.append(Component(sym, a, b))
+        b = a - 1
+    return result
+
+
 class TestComponents:
     def test_long_example(self):
         got = components(PartialQuiver.from_string("RLRLRLLL"))
@@ -91,6 +104,26 @@ class TestComponents:
 
     def test_single_run(self):
         assert components(PartialQuiver.from_string("LL", 3)) == [Component("L", 2, 3)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chamber_components_of_every_subset(self, n):
+        # raises iff the set is illegal; otherwise the set's partial quiver
+        # maps back to it, and its components are the reference runs
+        strings = range(1, n + 2)
+        for m in range(len(strings) + 1):
+            for S in itertools.combinations(strings, m):
+                if not wiring.is_chamber_set(S, n):
+                    with pytest.raises(ValueError, match="is not a chamber set"):
+                        chamber_components(S, n)
+                    continue
+                P = partial_quiver_of(S, n)
+                assert chamber_set_of(P) == frozenset(S)
+                assert chamber_components(S, n) == reference_components(P)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_reference(self, n):
+        for P in all_partial_quivers(n):
+            assert components(P) == reference_components(P)
 
 
 class TestBijection:
@@ -111,10 +144,11 @@ class TestBijection:
         assert str(partial_quiver_of({1, 3}, 2)) == "R"
 
     def test_rejects_illegal_chamber_set(self):
-        with pytest.raises(ValueError):
-            partial_quiver_of({1, 2}, 3)
+        for reader in (partial_quiver_of, chamber_components):
+            with pytest.raises(ValueError, match=r"^\[1, 2\] is not a chamber set for n=3$"):
+                reader([2, 1, 2], 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_mutually_inverse(self, n):
         legal = {
             frozenset(s)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pquiver import reference_components
 
 from lusztig_cones import cone, spanning, wiring, words
 from lusztig_cones.cone import (
@@ -23,7 +24,7 @@ from lusztig_cones.pquiver import (
     Component,
     PartialQuiver,
     all_partial_quivers,
-    components,
+    chamber_set_of,
 )
 from lusztig_cones.spanning import (
     random_words,
@@ -53,7 +54,7 @@ def indicator_weight(P):
     """The weight vector of P by definition: the number of components Y
     of P with p < a(Y) and b(Y) < q, at each root (p, q)."""
     return tuple(
-        sum(p < Y.a and Y.b < q for Y in components(P))
+        sum(p < Y.a and Y.b < q for Y in reference_components(P))
         for p, q in words.all_positive_roots(P.n)
     )
 
@@ -95,8 +96,9 @@ class TestFormulas:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_v_partial_quiver_is_rounded_half_weight(self, n):
         for P in all_partial_quivers(n):
-            half = tuple(-(-x // 2) for x in weight_vector(P).values)
+            half = tuple(-(-x // 2) for x in indicator_weight(P))
             assert v_partial_quiver(P) == RootVector(n, half)
+            assert spanning.chamber_column(chamber_set_of(P), n) == RootVector(n, half)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_match_indicator_definitions(self, n):
@@ -138,16 +140,17 @@ def bareiss_vectors(word):
 
 
 def corrupt(monkeypatch, target):
-    """Make v_partial_quiver(target) one too large at its first entry."""
-    good = spanning.v_partial_quiver
+    """Make the column of the chamber set of the partial quiver ``target``
+    one too large at its first entry, where verify_theorem computes it."""
+    good, target_set = spanning.chamber_column, chamber_set_of(target)
 
-    def bad(P):
-        v = good(P)
-        if P != target:
+    def bad(members, n):
+        v = good(members, n)
+        if members != target_set:
             return v
         return RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
 
-    monkeypatch.setattr(spanning, "v_partial_quiver", bad)
+    monkeypatch.setattr(spanning, "chamber_column", bad)
 
 
 class TestVerifyTheorem:
@@ -264,16 +267,15 @@ class TestVerifyTheorem:
 import json
 from lusztig_cones import cone, spanning, wiring
 from lusztig_cones.cone import RootVector, spanning_set
-from lusztig_cones.pquiver import PartialQuiver
 from lusztig_cones.words import ReducedWord
 
-good, target = spanning.v_partial_quiver, PartialQuiver.from_string("-R", 3)
+good, target = spanning.chamber_column, frozenset({1, 3, 4})  # the set of -R
 
-def bad(P):
-    v = good(P)
-    return v if P != target else RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
+def bad(members, n):
+    v = good(members, n)
+    return v if members != target else RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
 
-spanning.v_partial_quiver = bad
+spanning.chamber_column = bad
 w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
 report = spanning.verify_theorem(w)
 wrong = [v for v in report.verdicts if not v.equal]
@@ -347,6 +349,40 @@ class TestVerifyAll:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_all(2, mode="all")
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"mode": "sample", "count": 0}, "count"),
+            ({"mode": "sample", "count": -4}, "count"),
+            ({"mode": "sample", "count": 5, "jobs": 0}, "jobs"),
+            ({"mode": "exhaustive", "jobs": -1}, "jobs"),
+            ({"mode": "sample", "count": -4, "jobs": 0}, "jobs"),
+        ],
+    )
+    def test_no_vacuous_run(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
+            verify_all(5, **kwargs)
+
+    def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
+        # the columns are read off the chamber sets: one legality check per
+        # chamber, and no PartialQuiver built
+        calls = Counter()
+        real_check, real_init = wiring.is_chamber_set, PartialQuiver.__post_init__
+
+        def check(members, n):
+            calls["is_chamber_set"] += 1
+            return real_check(members, n)
+
+        def init(self):
+            calls["PartialQuiver"] += 1
+            real_init(self)
+
+        monkeypatch.setattr(wiring, "is_chamber_set", check)
+        monkeypatch.setattr(PartialQuiver, "__post_init__", init)
+        report = verify_all(4)
+        assert (report.checked, report.mismatches) == (768, [])
+        assert calls == {"is_chamber_set": 768 * (10 - 4)}
 
     @pytest.mark.parametrize(
         "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]

@@ -137,6 +137,24 @@ class TestCommutationClass:
         for w in enumerate_reduced_words(n):
             assert commutation_class(w) == closure(w, short_neighbors)
 
+    def test_walk_validates_no_word(self, monkeypatch):
+        # linear extensions of a reduced word's heap are reduced by
+        # construction; only the input word is validated, when it is built
+        w = staircase_word(5)
+        calls = []
+        real = words.is_reduced_word_for_w0
+        monkeypatch.setattr(
+            words, "is_reduced_word_for_w0", lambda *a: calls.append(a) or real(*a)
+        )
+        assert len(commutation_class(w)) == 286
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_word_of_the_walk_is_reduced(self, n):
+        for w in enumerate_reduced_words(n):
+            for v in commutation_class(w):
+                assert v.n == n and is_reduced_word_for_w0(v.letters, n)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 16), (4, 768)])
