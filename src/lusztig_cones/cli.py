@@ -3,13 +3,15 @@
 Words and points are given as comma-separated integers; points are in
 position coordinates (matching the word as typed) and printed in both
 coordinate systems.  Output defaults to stdout; ``--out FILE`` writes to
-a file.  Exit status: 0 on success, 1 on a domain error or an unwritable
-file (structured JSON on stderr) or on mismatches, 2 on bad arguments.
+a file, opened before the command runs.  Exit status: 0 on success, 1 on
+a domain error or an unwritable file (structured JSON on stderr) or on
+mismatches, 2 on bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -35,16 +37,8 @@ def _label_text(label) -> str:
     return f"chamber({label.left},{label.right})"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+def _emit_json(payload, out) -> None:
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_roots(args) -> int:
@@ -53,7 +47,7 @@ def cmd_roots(args) -> int:
     if args.format == "json":
         _emit_json({**word.to_json(), "roots": [list(r) for r in roots]}, args.out)
     else:
-        _emit("".join(f"{j} ({p},{q})\n" for j, (p, q) in enumerate(roots, 1)), args.out)
+        args.out.write("".join(f"{j} ({p},{q})\n" for j, (p, q) in enumerate(roots, 1)))
     return 0
 
 
@@ -67,14 +61,14 @@ def cmd_chambers(args) -> int:
         for c in wiring.chambers(diagram):
             label = wiring.format_chamber_set(c.chamber_set, word.n)
             lines.append(f"pair=({c.left_pos},{c.right_pos}) level={c.level} set={label}\n")
-        _emit("".join(lines), args.out)
+        args.out.write("".join(lines))
     return 0
 
 
 def cmd_render(args) -> int:
     word = _word(args)
     fmt = "ascii" if args.format == "text" else args.format
-    _emit(wiring.render(wiring.build_wiring(word), fmt), args.out)
+    args.out.write(wiring.render(wiring.build_wiring(word), fmt))
     return 0
 
 
@@ -87,7 +81,7 @@ def cmd_cone_matrix(args) -> int:
             f"{_label_text(lab):>14}  {' '.join(f'{x:>2}' for x in row)}\n"
             for lab, row in zip(M.labels, M.rows)
         ]
-        _emit("".join(lines), args.out)
+        args.out.write("".join(lines))
     return 0
 
 
@@ -116,7 +110,7 @@ def cmd_spanning(args) -> int:
             pos = ",".join(str(x) for x in v.inverse.to_positions(word))
             mark = "ok" if v.equal else "MISMATCH"
             lines.append(f"{_label_text(v.label):>14}  position=({pos})  {mark}\n")
-        _emit("".join(lines), args.out)
+        args.out.write("".join(lines))
     return 0 if report.overall else 1
 
 
@@ -127,7 +121,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(report.to_json(), args.out)
     else:
-        _emit(f"{report.checked} words, {len(report.mismatches)} mismatches\n", args.out)
+        args.out.write(f"{report.checked} words, {len(report.mismatches)} mismatches\n")
     return 0 if report.ok else 1
 
 
@@ -154,7 +148,7 @@ def cmd_member(args) -> int:
             lines.append(f"violated: {_label_text(lab)}\n")
         for j in negative:
             lines.append(f"negative coordinate at position {j}\n")
-        _emit("".join(lines), args.out)
+        args.out.write("".join(lines))
     return 0
 
 
@@ -172,10 +166,7 @@ def cmd_decompose(args) -> int:
         }
         _emit_json(payload, args.out)
     else:
-        _emit(
-            "".join(f"{_label_text(lab):>14}  {c}\n" for lab, c in coeffs.items()),
-            args.out,
-        )
+        args.out.write("".join(f"{_label_text(lab):>14}  {c}\n" for lab, c in coeffs.items()))
     return 0
 
 
@@ -184,7 +175,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         _emit_json({"n": args.n, "words": [list(w.letters) for w in words]}, args.out)
     else:
-        _emit("".join(",".join(map(str, w.letters)) + "\n" for w in words), args.out)
+        args.out.write("".join(",".join(map(str, w.letters)) + "\n" for w in words))
     return 0
 
 
@@ -194,7 +185,7 @@ def cmd_bfz_word(args) -> int:
     if args.format == "json":
         _emit_json({"quiver": str(Q), **word.to_json()}, args.out)
     else:
-        _emit(",".join(map(str, word.letters)) + "\n", args.out)
+        args.out.write(",".join(map(str, word.letters)) + "\n")
     return 0
 
 
@@ -220,11 +211,8 @@ def cmd_pq(args) -> int:
         _emit_json(payload, args.out)
     else:
         comp_text = " ".join(f"({c.type},{c.a},{c.b})" for c in comps)
-        _emit(
-            f"pq={P}\nset={wiring.format_chamber_set(members, P.n)}\n"
-            f"components={comp_text}\n",
-            args.out,
-        )
+        label = wiring.format_chamber_set(members, P.n)
+        args.out.write(f"pq={P}\nset={label}\ncomponents={comp_text}\n")
     return 0
 
 
@@ -285,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # open --out before the command runs, so an unwritable path fails at once
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as args.out:
+            return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

@@ -6,8 +6,9 @@ A partial quiver directs a nonempty contiguous interval of edges, each L
 i.e. from edge n down to edge 2, as in ``---LRLL-``.
 
 The map ``chamber_set_of`` is a bijection between partial quivers and
-legal chamber sets.  Chamber sets are canonical: ``chamber_components``
-reads the components straight off one, and a partial quiver is a view.
+legal chamber sets.  Chamber sets are canonical and a partial quiver is a
+view: the components are the runs of strings between consecutive points
+of the set's boundary (``wiring.chamber_boundary``).
 ``bfz_word`` builds a reduced word compatible with a full quiver from its
 sinks, each found after reflecting the quiver at the sinks before it.
 """
@@ -115,31 +116,25 @@ def components(P: PartialQuiver) -> list[Component]:
 
 def chamber_set_of(P: PartialQuiver) -> frozenset[int]:
     """The chamber set labelled by P (the bijection, forward direction)."""
-    l1 = {e for e in P.directed_edges() if P.edge(e) == "L"}
-    a, b = P.rightmost, P.leftmost
-    l2 = set(range(1, a)) if P.edge(a) == "R" else set()
-    l3 = set(range(b + 1, P.n + 2)) if P.edge(b) == "R" else set()
-    return frozenset(l1 | l2 | l3)
+    directed = "".join(P.symbols).lstrip("-")
+    b = len(directed) + 1  # the leftmost directed edge; directed[i] is edge b - i
+    directed = directed.rstrip("-")
+    below = range(1, b + 1 - len(directed)) if directed[-1] == "R" else ()
+    above = range(b + 1, P.n + 2) if directed[0] == "R" else ()
+    return frozenset([*below, *(b - i for i, s in enumerate(directed) if s == "L"), *above])
 
 
 def chamber_components(members, n: int) -> list[Component]:
     """The components of the chamber set's partial quiver, left to right.
 
-    Edge e points left iff string e is in the set, and the directed edges
-    run from b down to a, where a (b) is the first edge e >= 2 (e <= n)
-    whose membership differs from string 1's (n+1's).  So the components
-    are the runs of equal membership over strings n+1..1 but the end ones.
+    Edge e points left iff string e is in the set, so each component is a
+    run of equal membership: the strings c+1..c' between consecutive
+    boundary points c < c' (``wiring.chamber_boundary``), type L iff c' is
+    in the set.
     """
     s = frozenset(members)
-    if not wiring.is_chamber_set(s, n):
-        raise ValueError(f"{sorted(s)} is not a chamber set for n={n}")
-    result, top, above = [], n + 1, n + 1 in s
-    for e in range(n, 0, -1):
-        here = e in s
-        if here != above:
-            result.append(Component("L" if above else "R", e + 1, top))
-            top, above = e, here
-    return result[1:]
+    top = wiring.chamber_boundary(s, n)[::-1]
+    return [Component("L" if c in s else "R", below + 1, c) for c, below in zip(top, top[1:])]
 
 
 def partial_quiver_of(members, n: int) -> PartialQuiver:

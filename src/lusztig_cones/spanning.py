@@ -3,17 +3,20 @@
 Every Lusztig cone has n spanning vectors common to all words, one per
 simple root, plus one per bounded chamber; the latter depend only on the
 chamber set, and equal the rounded-up half of the sum of the indicator
-vectors of the components read off it (``pquiver.chamber_components``).
+vectors of the components of its partial quiver.
 ``verify_theorem`` checks this in root coordinates by certificate: the
 closed-form columns V pass iff V·M = I exactly for the defining matrix M,
 which proves V = M^-1.  Only when the certificate fails is M inverted
 (Bareiss), so that each mismatch carries the true inverse column.
 
 The columns are computed on packed integers, one lane of bits per
-positive root (``cone.pack``).  ``rank_table(n)``, built once per rank,
-holds the packed indicator of every component and simple root, so a
-chamber's column is one sum of table entries, then one add, one shift
-and one mask: the rounded-up half of the weight, in every lane at once.
+positive root (``cone.pack``); ``rank_table(n)``, built once per rank,
+holds the packed simple-root columns.  A component [a, b] counts at the
+root (p, q) iff its points a-1 and b of the chamber set's boundary ∂S
+(``wiring.chamber_boundary``) both lie in [p, q-1].  With N points of ∂S
+there, the weight is max(N-1, 0), whose rounded-up half is ⌊N/2⌋; so a
+chamber's column is the sum of v_simple(t) over t in ∂S, then one shift
+and one mask, in every lane at once.
 """
 
 from __future__ import annotations
@@ -39,31 +42,20 @@ class RankTable:
     positive root, in the order of ``all_positive_roots(n)``
     (``cone.pack``).
 
-    ``component[a, b]`` is the indicator of the roots (p, q) with
-    p < a <= b < q, for 2 <= a <= b <= n; ``simple[j - 1]`` is the
-    indicator of the roots with p <= j < q.  Each is the lanes of the roots
-    with p < a, a prefix of the lanes, ANDed with the lanes of the roots
-    with q > b.  ``ones`` holds 1 in every lane and ``mask``
-    2^(width-1) - 1 in every lane.  A lane holds up to n, the largest
-    weight plus one, without a carry into the next.
+    ``simple[j - 1]`` is the indicator of the roots (p, q) with
+    p <= j < q, and ``mask`` holds 2^(width-1) - 1 in every lane.  A lane
+    holds up to n, the most simple-root columns that a sum over a chamber
+    set's boundary adds, without a carry into the next.
     """
 
     def __init__(self, n: int):
         roots = all_positive_roots(n)
         self.n, self.k = n, len(roots)
         self.width = width = cone.lane_width(n)
-        self.ones = ones = cone.pack([1] * self.k, width)
-        self.mask = ones * ((1 << width - 1) - 1)
-        # the roots with p < a are the first (a-1)(2n+2-a)/2 lanes
-        before = {
-            a: ones & ((1 << width * ((a - 1) * (2 * n + 2 - a) // 2)) - 1)
-            for a in range(2, n + 2)
-        }
-        after = {b: cone.pack([int(q > b) for _, q in roots], width) for b in range(1, n + 1)}
-        self.component = {
-            (a, b): before[a] & after[b] for a in range(2, n + 1) for b in range(a, n + 1)
-        }
-        self.simple = tuple(before[j + 1] & after[j] for j in range(1, n + 1))
+        self.mask = cone.pack([(1 << width - 1) - 1] * self.k, width)
+        self.simple = tuple(
+            cone.pack([int(p <= j < q) for p, q in roots], width) for j in range(1, n + 1)
+        )
 
     def vector(self, x: int) -> RootVector:
         """The root vector whose lanes ``x`` packs."""
@@ -85,26 +77,29 @@ def v_simple(j: int, n: int) -> RootVector:
 
 
 def v_component(Y: Component, n: int) -> RootVector:
-    """Indicator of the roots (p, q) with p < a(Y) <= b(Y) < q."""
+    """Indicator of the roots (p, q) with p < a(Y) <= b(Y) < q: those that
+    contain both α_{a-1} and α_b."""
     if not 2 <= Y.a <= Y.b <= n:
         raise ValueError(f"component edges [{Y.a}, {Y.b}] out of range [2, {n}]")
     table = rank_table(n)
-    return table.vector(table.component[Y.a, Y.b])
+    return table.vector(table.simple[Y.a - 2] & table.simple[Y.b - 1])
 
 
 def weight_vector(P: PartialQuiver) -> RootVector:
     """Sum of the component indicator vectors of P."""
     table = rank_table(P.n)
-    return table.vector(sum(table.component[Y.a, Y.b] for Y in pquiver.components(P)))
+    simple = table.simple
+    return table.vector(sum(simple[Y.a - 2] & simple[Y.b - 1] for Y in pquiver.components(P)))
 
 
 def chamber_column(members, n: int) -> RootVector:
     """Entrywise ceiling of half the weight vector of the components of a
-    chamber set: add 1 to every lane of the packed weight, shift the whole
-    int right by one bit and clear the bit each lane got from the next."""
+    chamber set, as the floor of half the sum of v_simple(t) over its
+    boundary points t: shift the packed sum right by one bit and clear the
+    bit each lane got from the next."""
     table = rank_table(n)
-    weight = sum(table.component[Y.a, Y.b] for Y in pquiver.chamber_components(members, n))
-    return table.vector((weight + table.ones) >> 1 & table.mask)
+    total = sum(table.simple[t - 1] for t in wiring.chamber_boundary(members, n))
+    return table.vector(total >> 1 & table.mask)
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:

@@ -51,6 +51,17 @@ def is_chamber_set(members, n: int) -> bool:
     return s <= set(range(1, n + 2)) and s != initial and s != final
 
 
+def chamber_boundary(members, n: int) -> list[int]:
+    """The boundary of a chamber set: the t in [1, n] with exactly one of
+    t, t+1 in it, in order.  The one legality check: a subset of [1, n+1]
+    is a chamber set iff its boundary has two points or more."""
+    s = frozenset(members)
+    boundary = [t for t in range(1, n + 1) if (t in s) != (t + 1 in s)]
+    if len(boundary) < 2 or not s.issubset(range(1, n + 2)):
+        raise ValueError(f"{sorted(s)} is not a chamber set for n={n}")
+    return boundary
+
+
 def build_wiring(word: ReducedWord) -> WiringDiagram:
     """Trace the strings of the word's wiring diagram.
 
@@ -76,7 +87,7 @@ def chambers(diagram: WiringDiagram) -> list[Chamber]:
     a chamber there, which the next crossing at that level closes.  The
     crossings one level up or down in between are its ``above`` and
     ``below``.  Legality of the chamber sets is not re-checked here;
-    ``pquiver.chamber_components`` rejects an illegal one.
+    ``chamber_boundary`` rejects an illegal one.
     """
     open_at: dict[int, tuple[Crossing, list, list]] = {}
     result = []

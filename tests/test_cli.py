@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lusztig_cones import spanning
 from lusztig_cones.cli import main
 
 
@@ -195,6 +196,16 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert str(path) in json.loads(err)["error"]
         assert not path.exists()
+
+    def test_unwritable_out_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+        def run_all(*args, **kwargs):
+            raise AssertionError("verify_all ran before --out was opened")
+
+        monkeypatch.setattr(spanning, "verify_all", run_all)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify", "--n", "4", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert str(path) in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "command, fmt",

@@ -9,6 +9,7 @@ import re
 import pytest
 from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, reference_certify
 from test_spanning import chi_square
+from test_wiring import legality_disagreements
 
 from lusztig_cones import cone, spanning, wiring
 from lusztig_cones.cone import ChamberLabel, RootVector, spanning_set
@@ -43,12 +44,11 @@ def test_chi_square_rejects_the_braid_walk():
     assert statistic > bound
 
 
-def test_rounding_half_down_is_reported(monkeypatch):
-    def half_down(members, n):
-        weight = spanning.weight_vector(partial_quiver_of(members, n))
-        return RootVector(n, tuple(x // 2 for x in weight.values))
-
-    monkeypatch.setattr(spanning, "chamber_column", half_down)
+def assert_every_word_reported(monkeypatch, planted):
+    """Plant ``planted`` as ``chamber_column``: exhaustive verify at n=4
+    must report every word, each record with its label, the planted column
+    as expected and the Bareiss column as got."""
+    monkeypatch.setattr(spanning, "chamber_column", planted)
     report = spanning.verify_all(4)
     assert report.checked == 768 and report.mismatches
     by_word = {}
@@ -61,12 +61,47 @@ def test_rounding_half_down_is_reported(monkeypatch):
             for c in wiring.chambers(wiring.build_wiring(word))
         }
         for label, expected, got in records:
-            assert expected == half_down(sets[label], 4)
+            assert expected == planted(sets[label], 4)
             assert got == span.vector(label) != expected
     assert len(by_word) == 768
     record = report.to_json()["mismatches"][0]
     assert set(record) == {"word", "label", "expected", "got"}
     assert record["expected"] != record["got"]
+
+
+def test_rounding_half_down_is_reported(monkeypatch):
+    def half_down(members, n):
+        weight = spanning.weight_vector(partial_quiver_of(members, n))
+        return RootVector(n, tuple(x // 2 for x in weight.values))
+
+    assert_every_word_reported(monkeypatch, half_down)
+
+
+def test_boundary_sum_rounded_up_is_reported(monkeypatch):
+    # the sum of v_simple(t) over the boundary points, rounded up
+    def boundary_half_up(members, n):
+        total = [0] * len(all_positive_roots(n))
+        for t in wiring.chamber_boundary(members, n):
+            total = [x + y for x, y in zip(total, spanning.v_simple(t, n).values)]
+        return RootVector(n, tuple(-(-x // 2) for x in total))
+
+    assert_every_word_reported(monkeypatch, boundary_half_up)
+
+
+def test_single_boundary_point_accepted_is_caught(monkeypatch):
+    # a legality check that lets an initial or final interval through
+    def lenient(members, n):
+        s = frozenset(members)
+        boundary = [t for t in range(1, n + 1) if (t in s) != (t + 1 in s)]
+        if not boundary or not s.issubset(range(1, n + 2)):
+            raise ValueError(f"{sorted(s)} is not a chamber set for n={n}")
+        return boundary
+
+    monkeypatch.setattr(wiring, "chamber_boundary", lenient)
+    wrong = legality_disagreements(3)
+    assert {frozenset(S) for S in wrong} == {
+        frozenset(range(1, m + 1)) for m in range(1, 4)
+    } | {frozenset(range(m, 5)) for m in range(2, 5)}
 
 
 def test_shifted_chamber_set_is_reported_or_raises(monkeypatch):

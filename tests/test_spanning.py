@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pquiver import reference_components
 
-from lusztig_cones import cone, spanning, wiring, words
+from lusztig_cones import cone, pquiver, spanning, wiring, words
 from lusztig_cones.cone import (
     CertificateError,
     ChamberLabel,
@@ -59,6 +59,13 @@ def indicator_weight(P):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def rounded_half_weights(n):
+    """Every partial quiver of rank n with the paper's column: the
+    rounded-up half of its reference weight."""
+    return [(P, tuple(-(-x // 2) for x in indicator_weight(P))) for P in all_partial_quivers(n)]
+
+
 class TestFormulas:
     def test_v_simple(self):
         assert v_simple(1, 3) == ones_at(3, [(1, 2), (1, 3), (1, 4)])
@@ -93,10 +100,10 @@ class TestFormulas:
         assert w.to_dict()[(2, 4)] == 1
         assert v_partial_quiver(P) == ones_at(3, [(1, 3), (1, 4), (2, 4)])
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_v_partial_quiver_is_rounded_half_weight(self, n):
-        for P in all_partial_quivers(n):
-            half = tuple(-(-x // 2) for x in indicator_weight(P))
+        # the bridge from the boundary form to the paper's formula
+        for P, half in rounded_half_weights(n):
             assert v_partial_quiver(P) == RootVector(n, half)
             assert spanning.chamber_column(chamber_set_of(P), n) == RootVector(n, half)
 
@@ -121,14 +128,14 @@ class TestFormulas:
     @pytest.mark.parametrize("width", [16, 24])
     def test_wider_lanes(self, monkeypatch, width):
         # ranks from 128 on need lanes of two bytes; force wider lanes at
-        # rank 6, on a table built afresh
+        # ranks up to 10, on tables built afresh
         monkeypatch.setattr(cone, "lane_width", lambda bound: width)
         spanning.rank_table.cache_clear()
         try:
-            assert spanning.rank_table(6).width == width
-            for P in all_partial_quivers(6):
-                half = tuple(-(-x // 2) for x in indicator_weight(P))
-                assert v_partial_quiver(P).values == half
+            for n in range(2, 11):
+                assert spanning.rank_table(n).width == width
+                for P, half in rounded_half_weights(n):
+                    assert spanning.chamber_column(chamber_set_of(P), n).values == half
         finally:
             spanning.rank_table.cache_clear()
 
@@ -365,24 +372,29 @@ class TestVerifyAll:
             verify_all(5, **kwargs)
 
     def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
-        # the columns are read off the chamber sets: one legality check per
-        # chamber, and no PartialQuiver built
+        # the columns are read off the chamber sets' boundaries: one
+        # boundary scan per chamber, no component and no PartialQuiver
         calls = Counter()
-        real_check, real_init = wiring.is_chamber_set, PartialQuiver.__post_init__
+        real_boundary, real_init = wiring.chamber_boundary, PartialQuiver.__post_init__
 
-        def check(members, n):
-            calls["is_chamber_set"] += 1
-            return real_check(members, n)
+        def boundary(members, n):
+            calls["chamber_boundary"] += 1
+            return real_boundary(members, n)
+
+        def components(members, n):
+            calls["chamber_components"] += 1
+            raise AssertionError("the verify path reads no components")
 
         def init(self):
             calls["PartialQuiver"] += 1
             real_init(self)
 
-        monkeypatch.setattr(wiring, "is_chamber_set", check)
+        monkeypatch.setattr(wiring, "chamber_boundary", boundary)
+        monkeypatch.setattr(pquiver, "chamber_components", components)
         monkeypatch.setattr(PartialQuiver, "__post_init__", init)
         report = verify_all(4)
         assert (report.checked, report.mismatches) == (768, [])
-        assert calls == {"is_chamber_set": 768 * (10 - 4)}
+        assert calls == {"chamber_boundary": 768 * (10 - 4)}
 
     @pytest.mark.parametrize(
         "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]

@@ -1,9 +1,11 @@
 import itertools
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
 
+from lusztig_cones import wiring
 from lusztig_cones.wiring import (
     build_wiring,
     chambers,
@@ -127,7 +129,38 @@ class TestChambers:
         assert occurring == legal
 
 
+def legality_disagreements(n):
+    """The subsets of [1, n+1] whose legality ``wiring.chamber_boundary``
+    decides differently from the definition, ``is_chamber_set``."""
+    wrong = []
+    for m in range(n + 2):
+        for S in itertools.combinations(range(1, n + 2), m):
+            try:
+                wiring.chamber_boundary(S, n)
+                legal = True
+            except ValueError:
+                legal = False
+            if legal != is_chamber_set(S, n):
+                wrong.append(S)
+    return wrong
+
+
 class TestChamberSetLegality:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_boundary_decides_legality(self, n):
+        assert legality_disagreements(n) == []
+
+    def test_boundary(self):
+        assert wiring.chamber_boundary({1, 3, 4}, 3) == [1, 2]
+        assert wiring.chamber_boundary({2}, 3) == [1, 2]
+        assert wiring.chamber_boundary({1, 3, 5, 6}, 6) == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("members", [[2, 1, 2], [0, 2], [2, 5], [1.5, 3]])
+    def test_boundary_rejects(self, members):
+        text = rf"^{re.escape(str(sorted(set(members))))} is not a chamber set for n=3$"
+        with pytest.raises(ValueError, match=text):
+            wiring.chamber_boundary(members, 3)
+
     def test_intervals_rejected(self):
         assert not is_chamber_set({1, 2}, 3)
         assert not is_chamber_set({3, 4}, 3)
