@@ -9,12 +9,12 @@ wiring trace; in root coordinates a chamber row has at most six nonzeros.
 
 The theorem is verified by certificate: for integer columns V,
 ``certify_inverse`` checks V·M = I, which for square integer matrices
-proves V = M^-1 and det M = +-1.  Each column of V is packed into one
-Python int, one lane of bits per positive root (``pack``), so column j of
-V·M is a signed sum of the at most five packed columns whose rows touch
-root j: O(k·nnz) big-int operations on k-lane ints, done in C.  The lanes
-are widened whenever the data could make one overflow into the next
-(``lane_width``), so the packed comparison is always exact.
+proves V = M^-1 and det M = +-1.  Each column of V is one Python int, one
+lane of bits per positive root (``pack``), so column j of V·M is a signed
+sum of the at most five columns whose rows touch root j: O(k·nnz) big-int
+operations, done in C.  One AND per column with a lane mask proves every
+entry nonnegative and small enough for the sums not to carry between
+lanes, so the packed comparison is exact and no column is unpacked.
 Fraction-free (Bareiss) inversion, ``exact_inverse``, stays as the
 independent oracle of the tests (``invert_unimodular``, in position
 coordinates) and as the fallback that finds the true inverse column, on
@@ -119,39 +119,43 @@ class ConeMatrix:
         return self.rows[self.index[label]]
 
 
-def root_rows(n: int, chamber_list) -> tuple[tuple[RowLabel, ...], tuple]:
-    """Labels and sparse rows of the defining matrix in root coordinates.
+def row_labels(n: int, chamber_list) -> tuple[RowLabel, ...]:
+    """The labels of the rows of ``root_rows``, in its order."""
+    simple = tuple(map(SimpleRootLabel, range(1, n + 1)))
+    return simple + tuple(ChamberLabel(c.left_pos, c.right_pos) for c in chamber_list)
+
+
+def root_rows(n: int, chamber_list) -> tuple:
+    """Sparse rows of the defining matrix in root coordinates.
 
     ``chamber_list`` is ``wiring.chambers`` of the word.  Each row is a
     tuple of (index into ``RootVector.values``, coefficient) pairs: the unit
     row of each simple root (j, j+1), then one row per chamber in the given
     order, -1 at its left and right crossings and +1 at the crossings above
-    and below it.
+    and below it.  ``row_labels`` names them.
     """
-    labels: list[RowLabel] = [SimpleRootLabel(j) for j in range(1, n + 1)]
     rows = [((_root_index(n, (j, j + 1)), 1),) for j in range(1, n + 1)]
     for ch in chamber_list:
-        labels.append(ChamberLabel(ch.left_pos, ch.right_pos))
         rows.append(
             ((_root_index(n, ch.left.strings), -1), (_root_index(n, ch.right.strings), -1))
             + tuple((_root_index(n, c.strings), 1) for c in ch.above + ch.below)
         )
-    return tuple(labels), tuple(rows)
+    return tuple(rows)
 
 
 def cone_matrix(word: ReducedWord) -> ConeMatrix:
     """Rows: simple roots 1..n (unit vectors), then chamber rows by left
     position of the minimal pair, in position coordinates."""
     diagram = build_wiring(word)
-    labels, rows = root_rows(word.n, chambers(diagram))
+    chamber_list = chambers(diagram)
     position = {_root_index(word.n, c.strings): c.pos - 1 for c in diagram.crossings}
     dense = []
-    for row in rows:
+    for row in root_rows(word.n, chamber_list):
         values = [0] * word.k
         for i, a in row:
             values[position[i]] = a
         dense.append(tuple(values))
-    return ConeMatrix(word=word, labels=labels, rows=tuple(dense))
+    return ConeMatrix(word=word, labels=row_labels(word.n, chamber_list), rows=tuple(dense))
 
 
 def lane_width(bound: int) -> int:
@@ -164,8 +168,6 @@ def lane_width(bound: int) -> int:
 def pack(values, width: int) -> int:
     """The nonnegative ``values``, each below 2^width, as one int: entry i
     in bits [width·i, width·(i+1))."""
-    if width == 8:
-        return int.from_bytes(bytes(values), "little")
     size = width // 8
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
 
@@ -179,42 +181,39 @@ def unpack(x: int, k: int, width: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
 
 
-def certify_inverse(rows, columns) -> bool:
-    """Whether the integer ``columns`` are exactly the inverse of the square
-    matrix with the given sparse ``rows``, and have no negative entry.
+def certify_inverse(rows, packed, width: int) -> bool:
+    """Whether the packed columns are exactly the inverse of the square
+    matrix with the given sparse ``rows``, with no negative entry.
 
     ``rows[r]`` lists the (column, coefficient) pairs of row r's nonzeros;
-    ``columns[c][i]`` is entry (i, c) of the candidate inverse V.  Each
-    column of V is packed into one int (``pack``), and V·M = I is checked
-    column by column: column j of V·M is the sum of a·V[:, c] over the
-    nonzeros a = M[c][j] (at most five in a cone's matrix), compared with
-    the unit vector ``1 << width·j``.  The comparison is exact because the
-    lanes are wide enough for every entry of V·M: |(V·M)[i][j]| is at most
-    max(V) times the largest absolute column sum of M, and ``lane_width``
-    of that bound leaves a sign bit spare.  For square integer matrices
-    V·M = I proves V = M^-1 and det M = +-1.
+    ``packed[c]`` is column c of the candidate V, entry i in the
+    ``width``-bit lane i (``pack``).  One pass over the rows sums
+    acc_j = sum of a·packed[c] over a = M[c][j] != 0, column j of V·M, and
+    w_j = sum of |a|.  For the largest b with 2^b·max(w_j) < 2^(width-1),
+    one AND per column refuses any bit outside the low b bits of its k
+    lanes: nonnegativity, lane bound and shape at once.  Then each acc_j
+    must be the unit ``1 << width·j``.
+
+    Exactness: with V's entries in [0, 2^b), acc_j is the sum of
+    (V·M)[i][j]·2^(width·i), |(V·M)[i][j]| <= w_j·(2^b - 1) < 2^(width-1).
+    If acc_j is the unit, the digits of V·M - I, each below 2^width in
+    absolute value, sum to zero with the weights 2^(width·i); the lowest
+    nonzero one would be a multiple of 2^width, so none is and V·M = I.
+    For square integer matrices that proves V = M^-1 and det M = +-1.
     """
     k = len(rows)
-    if len(columns) != k or any(len(col) != k for col in columns):
+    if len(packed) != k:
         return False
-    if any(min(col) < 0 for col in columns):
-        return False
-    touching = [[] for _ in range(k)]  # touching[j]: (c, M[c][j]) for M[c][j] != 0
-    weight = [0] * k  # weight[j]: sum of |M[c][j]| over c
-    for c, row in enumerate(rows):
+    acc, weight = [0] * k, [0] * k
+    for row, col in zip(rows, packed):
         for j, a in row:
-            touching[j].append((c, a))
+            acc[j] += a * col
             weight[j] += abs(a)
-    top = max(map(max, columns), default=0)
-    width = lane_width(top * max(max(weight, default=0), 1))
-    packed = [pack(col, width) for col in columns]
-    for j, col in enumerate(touching):
-        acc = 0
-        for c, a in col:
-            acc += a * packed[c]
-        if acc != 1 << width * j:
-            return False
-    return True
+    b = max(width - 1 - max(weight, default=0).bit_length(), 0)
+    allowed = ((1 << b) - 1) * ((1 << width * k) - 1) // ((1 << width) - 1)
+    if any(col & ~allowed for col in packed):
+        return False
+    return all(x == 1 << width * j for j, x in enumerate(acc))
 
 
 class UnimodularityError(ArithmeticError):
@@ -279,7 +278,7 @@ def checked_inverse(labels, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Determinant and columns of the exact inverse of the square matrix
     with the given sparse ``rows`` (as in ``certify_inverse``), one column
     per row label, with the unimodularity and nonnegativity guarantees
-    checked, never assumed."""
+    checked, never assumed, and certified in lanes that the mask admits."""
     k = len(rows)
     det, inv = exact_inverse([[row.get(j, 0) for j in range(k)] for row in map(dict, rows)])
     if det not in (1, -1):
@@ -288,7 +287,9 @@ def checked_inverse(labels, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for label, col in zip(labels, columns):
         if min(col) < 0:
             raise UnimodularityError(f"the inverse column of {label} has a negative entry")
-    if not certify_inverse(rows, columns):
+    top = max(map(max, columns), default=0)
+    width = lane_width(top << sum(abs(a) for row in rows for _, a in row).bit_length())
+    if not certify_inverse(rows, [pack(col, width) for col in columns], width):
         raise UnimodularityError("inverse check failed")
     return det, columns
 
@@ -311,10 +312,8 @@ def _check_rank(word: ReducedWord, a: RootVector) -> None:
 
 
 def _rows_at(n: int, chamber_list, a: RootVector) -> dict:
-    labels, rows = root_rows(n, chamber_list)
-    return {
-        lab: sum(c * a.values[i] for i, c in row) for lab, row in zip(labels, rows)
-    }
+    labels, rows = row_labels(n, chamber_list), root_rows(n, chamber_list)
+    return {lab: sum(c * a.values[i] for i, c in row) for lab, row in zip(labels, rows)}
 
 
 def evaluate_rows(word: ReducedWord, a: RootVector) -> dict:
@@ -349,7 +348,7 @@ def decompose(word: ReducedWord, a: RootVector) -> dict:
     the closed-form columns they must give a back; this check needs no
     inverse and raises ``CertificateError`` when it fails.
     """
-    from .spanning import formula_vectors  # spanning imports this module
+    from .spanning import formula_vectors, rank_table  # spanning imports this module
 
     _check_rank(word, a)
     chamber_list = chambers(build_wiring(word))
@@ -359,7 +358,7 @@ def decompose(word: ReducedWord, a: RootVector) -> dict:
     recombined = [0] * word.k
     for c, v in zip(coeffs.values(), formula_vectors(word.n, chamber_list)):
         if c:
-            for i, x in enumerate(v.values):
+            for i, x in enumerate(rank_table(word.n).vector(v).values):
                 recombined[i] += c * x
     if tuple(recombined) != a.values:
         raise CertificateError(

@@ -16,7 +16,8 @@ root (p, q) iff its points a-1 and b of the chamber set's boundary ∂S
 (``wiring.chamber_boundary``) both lie in [p, q-1].  With N points of ∂S
 there, the weight is max(N-1, 0), whose rounded-up half is ⌊N/2⌋; so a
 chamber's column is the sum of v_simple(t) over t in ∂S, then one shift
-and one mask, in every lane at once.
+and one mask, in every lane at once.  The certificate takes them packed:
+a word that passes in ``verify_all`` builds no vector, label or verdict.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ class RankTable:
     (``cone.pack``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
-    p <= j < q, and ``mask`` holds 2^(width-1) - 1 in every lane.  A lane
-    holds up to n, the most simple-root columns that a sum over a chamber
-    set's boundary adds, without a carry into the next.
+    p <= j < q, and ``mask`` holds 2^(width-1) - 1 in every lane.  Entries
+    reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row, two
+    chambers ending at its crossing, two around it), so with ⌊n/2⌋·2^3 <
+    2^(width-1) the mask of ``cone.certify_inverse`` passes every column.
     """
 
     def __init__(self, n: int):
         roots = all_positive_roots(n)
         self.n, self.k = n, len(roots)
-        self.width = width = cone.lane_width(n)
+        self.width = width = cone.lane_width(n // 2 << 3)
         self.mask = cone.pack([(1 << width - 1) - 1] * self.k, width)
         self.simple = tuple(
             cone.pack([int(p <= j < q) for p, q in roots], width) for j in range(1, n + 1)
@@ -92,14 +94,18 @@ def weight_vector(P: PartialQuiver) -> RootVector:
     return table.vector(sum(simple[Y.a - 2] & simple[Y.b - 1] for Y in pquiver.components(P)))
 
 
+def _packed_column(table: RankTable, members) -> int:
+    total = sum(table.simple[t - 1] for t in wiring.chamber_boundary(members, table.n))
+    return total >> 1 & table.mask
+
+
 def chamber_column(members, n: int) -> RootVector:
     """Entrywise ceiling of half the weight vector of the components of a
     chamber set, as the floor of half the sum of v_simple(t) over its
     boundary points t: shift the packed sum right by one bit and clear the
     bit each lane got from the next."""
     table = rank_table(n)
-    total = sum(table.simple[t - 1] for t in wiring.chamber_boundary(members, n))
-    return table.vector(total >> 1 & table.mask)
+    return table.vector(_packed_column(table, members))
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:
@@ -107,15 +113,15 @@ def v_partial_quiver(P: PartialQuiver) -> RootVector:
     return chamber_column(pquiver.chamber_set_of(P), P.n)
 
 
-def formula_vectors(n: int, chamber_list) -> list[RootVector]:
-    """The closed-form columns, in the label order of ``cone.root_rows``:
-    ``v_simple(j)`` for j = 1..n, then ``chamber_column`` of each chamber's
-    set, with no partial quiver built.  An illegal chamber set raises
-    ValueError naming the chamber's pair of positions."""
-    columns = [v_simple(j, n) for j in range(1, n + 1)]
+def formula_vectors(n: int, chamber_list) -> list[int]:
+    """The closed-form columns packed as in ``rank_table(n)``, in the order
+    of ``cone.row_labels``: ``v_simple(j)``, then each ``chamber_column``.
+    An illegal chamber set raises ValueError naming the chamber's pair."""
+    table = rank_table(n)
+    columns = list(table.simple)
     for c in chamber_list:
         try:
-            columns.append(chamber_column(c.chamber_set, n))
+            columns.append(_packed_column(table, c.chamber_set))
         except ValueError as exc:
             raise ValueError(f"chamber ({c.left_pos}, {c.right_pos}): {exc}") from exc
     return columns
@@ -142,37 +148,31 @@ class TheoremReport:
         return all(v.equal for v in self.verdicts)
 
 
-def verify_theorem(word: ReducedWord) -> TheoremReport:
-    """Compare the closed-form vectors with the columns of the inverse
-    defining matrix, one verdict per row label.
-
-    The word is traced once; its chambers give both the sparse rows of M
-    and the closed-form columns V.  When ``cone.certify_inverse`` accepts V,
-    V is M^-1 and each verdict's inverse is its certified column.  Otherwise
-    the same sparse rows are inverted exactly (``cone.checked_inverse``),
-    and the verdicts carry the true inverse columns, in root coordinates;
-    if those equal V after all, the certificate is at fault and
-    ``cone.CertificateError`` is raised.
-    """
-    n = word.n
+def _verdicts(word: ReducedWord, passing: bool):
+    """(verdicts, chambers) of the word, traced once.  A certified V is
+    M^-1: None, or with ``passing`` its own columns as the inverses.
+    Otherwise the rows are inverted exactly (``cone.checked_inverse``); if
+    that gives V after all, the certificate is at fault: CertificateError."""
+    n, table = word.n, rank_table(word.n)
     chamber_list = wiring.chambers(wiring.build_wiring(word))
-    labels, rows = cone.root_rows(n, chamber_list)
-    formulas = formula_vectors(n, chamber_list)
-    if cone.certify_inverse(rows, [v.values for v in formulas]):
-        inverses = formulas
-    else:
+    rows, packed = cone.root_rows(n, chamber_list), formula_vectors(n, chamber_list)
+    passed = cone.certify_inverse(rows, packed, table.width)
+    if passed and not passing:
+        return None
+    labels = cone.row_labels(n, chamber_list)
+    formulas = inverses = [table.vector(x) for x in packed]
+    if not passed:
         _, columns = cone.checked_inverse(labels, rows)
         inverses = [RootVector(n, col) for col in columns]
         if inverses == formulas:
-            raise cone.CertificateError(
-                f"{word.letters}: the certificate rejects the closed-form "
-                "columns, but they equal the exact inverse"
-            )
-    verdicts = tuple(
-        LabelVerdict(label=label, formula=f, inverse=v)
-        for label, f, v in zip(labels, formulas, inverses)
-    )
-    return TheoremReport(word=word, verdicts=verdicts)
+            msg = "the certificate rejects the closed-form columns, but they equal the inverse"
+            raise cone.CertificateError(f"{word.letters}: {msg}")
+    return tuple(map(LabelVerdict, labels, formulas, inverses)), chamber_list
+
+
+def verify_theorem(word: ReducedWord) -> TheoremReport:
+    """Closed-form vector against inverse column, per row label (``_verdicts``)."""
+    return TheoremReport(word=word, verdicts=_verdicts(word, True)[0])
 
 
 def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
@@ -192,7 +192,7 @@ def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
 class VerifyReport:
     n: int
     checked: int
-    mismatches: list  # (word, label, formula, inverse)
+    mismatches: list  # (word, label, formula, inverse, chamber fields)
 
     @property
     def ok(self) -> bool:
@@ -208,24 +208,35 @@ class VerifyReport:
                     "label": label.to_json(),
                     "expected": list(formula.values),
                     "got": list(inverse.values),
+                    **chamber,
                 }
-                for word, label, formula, inverse in self.mismatches
+                for word, label, formula, inverse, chamber in self.mismatches
             ],
         }
 
 
+def _chamber_fields(members, n: int) -> dict:
+    """A chamber label's chamber set, its boundary and its partial quiver."""
+    return {
+        "chamber_set": sorted(members),
+        "boundary": wiring.chamber_boundary(members, n),
+        "partial_quiver": str(pquiver.partial_quiver_of(members, n)),
+    }
+
+
 def _check_words(words) -> list:
+    """The mismatch records of the words; a certified word builds nothing."""
     mismatches = []
     for word in words:
         try:
-            report = verify_theorem(word)
+            checked = _verdicts(word, False)
         except Exception as exc:
-            raise ValueError(
-                f"word {word.letters}: {type(exc).__name__}: {exc}"
-            ) from exc
-        for v in report.verdicts:
-            if not v.equal:
-                mismatches.append((report.word, v.label, v.formula, v.inverse))
+            raise ValueError(f"word {word.letters}: {type(exc).__name__}: {exc}") from exc
+        if checked:  # (verdicts, chambers) of a failing word
+            for v, ch in zip(checked[0], [None] * word.n + checked[1]):
+                if not v.equal:
+                    fields = _chamber_fields(ch.chamber_set, word.n) if ch else {}
+                    mismatches.append((word, v.label, v.formula, v.inverse, fields))
     return mismatches
 
 

@@ -129,22 +129,27 @@ def enumerate_reduced_words(n: int) -> Iterator[ReducedWord]:
 
     A word of length n(n+1)/2 is reduced for w0 iff each letter i lengthens
     the product before it (``perm[i-1] < perm[i]``).  Depth first over those
-    letters, smallest first, so the staircase word comes first.  The words
-    are reduced by construction and are not validated again.
+    letters, smallest first, in one loop, so the staircase word comes first.
+    The words are reduced by construction and are not validated again.
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    k = longest_word_length(n)
-
-    def extend(prefix, perm):
+    k, perm, prefix, i = longest_word_length(n), list(range(1, n + 2)), [], 1
+    while True:
         if len(prefix) == k:
-            yield _reduced_by_construction(n, prefix)
-        for i in range(1, n + 1):
-            if perm[i - 1] < perm[i]:
-                swapped = perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]
-                yield from extend(prefix + (i,), swapped)
-
-    return extend((), tuple(range(1, n + 2)))
+            yield _reduced_by_construction(n, tuple(prefix))
+        while i <= n and perm[i - 1] > perm[i]:
+            i += 1
+        if i <= n:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            prefix.append(i)
+            i = 1
+        elif prefix:
+            i = prefix.pop()
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            i += 1
+        else:
+            return
 
 
 def hook_walk_tableau(n: int, rng) -> list[list[int]]:

@@ -75,6 +75,22 @@ def sparse(rows):
     return [tuple((c, a) for c, a in enumerate(row) if a) for row in rows]
 
 
+def packed(columns, width):
+    """Each column as one int, entry i times 2^(width·i): a negative entry
+    borrows from the lanes above it."""
+    return [sum(x << width * i for i, x in enumerate(col)) for col in columns]
+
+
+def certify(rows, columns):
+    """``certify_inverse`` on unpacked columns, packed at the least width
+    whose lane mask admits their largest entry, as ``checked_inverse``
+    chooses it."""
+    top = max((abs(x) for col in columns for x in col), default=0)
+    total = sum(abs(a) for row in rows for _, a in row)
+    width = cone.lane_width(top << total.bit_length())
+    return certify_inverse(rows, packed(columns, width), width)
+
+
 def reference_certify(rows, columns):
     """The entrywise certificate, oracle of the packed one: nonnegative
     columns, and every entry of M·V compared with the identity using only
@@ -101,6 +117,12 @@ def reference_certify(rows, columns):
 # column would
 ALIASING_ROWS = [((0, 257),), ((0, -1), (1, 1))]
 ALIASING_COLUMNS = [(1, 0), (0, 1)]
+
+# the non-inverse V = (1 128; 0 0) of M = (1 0; 0 2): V·M has the column
+# (256, 0), which in 8-bit lanes reads as the unit column (0, 1); only the
+# top bit of lane 0 of V's column 1 tells it apart
+TOP_BIT_ROWS = [((0, 1),), ((1, 2),)]
+TOP_BIT_COLUMNS = [(1, 0), (128, 0)]
 
 
 class TestConeMatrix:
@@ -151,7 +173,7 @@ class TestCertificate:
     def test_accepts_exact_inverse(self):
         M = cone_matrix(FIG_WORD)
         _, inv = exact_inverse(M.rows)
-        assert certify_inverse(sparse(M.rows), list(zip(*inv)))
+        assert certify(sparse(M.rows), list(zip(*inv)))
 
     def test_rejects_every_single_entry_change(self):
         M = cone_matrix(FIG_WORD)
@@ -160,20 +182,35 @@ class TestCertificate:
         for c in range(FIG_WORD.k):
             for r in range(FIG_WORD.k):
                 columns[c][r] += 1
-                assert not certify_inverse(sparse(M.rows), columns)
+                assert not certify(sparse(M.rows), columns)
                 columns[c][r] -= 1
 
     def test_rejects_negative_entry(self):
-        # the inverse of (1 1; 0 1) has a -1
-        assert certify_inverse([((0, 1), (1, 1)), ((1, 1),)], [(1, 0), (-1, 1)]) is False
+        # the inverse of (1 1; 0 1) has a -1, a borrow into lane 0's top bits
+        assert certify([((0, 1), (1, 1)), ((1, 1),)], [(1, 0), (-1, 1)]) is False
 
     def test_rejects_wrong_shape(self):
-        assert not certify_inverse([((0, 1),), ((1, 1),)], [(1, 0)])
-        assert not certify_inverse([((0, 1),), ((1, 1),)], [(1,), (0, 1)])
+        # a missing column, and a column with a bit beyond lane k
+        assert not certify([((0, 1),), ((1, 1),)], [(1, 0)])
+        assert not certify([((0, 1),), ((1, 1),)], [(1, 0, 1), (0, 1)])
+        assert not certify_inverse([((0, 1),), ((1, 1),)], [1, 1 << 8 | 1 << 16], 8)
 
     def test_lane_guard_rejects_aliasing(self):
         assert not reference_certify(ALIASING_ROWS, ALIASING_COLUMNS)
-        assert not certify_inverse(ALIASING_ROWS, ALIASING_COLUMNS)
+        assert not certify(ALIASING_ROWS, ALIASING_COLUMNS)
+        assert not certify_inverse(ALIASING_ROWS, packed(ALIASING_COLUMNS, 8), 8)
+
+    def test_mask_rejects_a_lane_top_bit(self):
+        assert not reference_certify(TOP_BIT_ROWS, TOP_BIT_COLUMNS)
+        assert not certify_inverse(TOP_BIT_ROWS, packed(TOP_BIT_COLUMNS, 8), 8)
+
+    @pytest.mark.parametrize("t, width, expected", [(7, 8, True), (8, 8, False), (8, 16, True)])
+    def test_edge_of_the_mask(self, t, width, expected):
+        # (1 -t; 0 1) has the inverse (1 t; 0 1) and the column weights 1
+        # and t + 1; in 8-bit lanes b = 3 for t = 7 and 8, so the entry t
+        # passes at 7 and is refused at 8, correct as it is
+        rows = [((0, 1), (1, -t)), ((1, 1),)]
+        assert certify_inverse(rows, packed([(1, 0), (t, 1)], width), width) is expected
 
     @pytest.mark.parametrize("bound, width", [(0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 24)])
     def test_lane_width(self, bound, width):
@@ -186,12 +223,14 @@ class TestCertificate:
 
     @pytest.mark.parametrize("t", [0, 1, 41, 42, 127, 128, 300, 70000])
     def test_accepts_wide_inverse(self, t):
-        # (1 -t; 0 1) has the inverse (1 t; 0 1), whose bound t·(t+1)
-        # needs lanes wider than a byte from t = 11 on
+        # (1 -t; 0 1) has the inverse (1 t; 0 1), whose entry t and column
+        # weight t + 1 need lanes wider than a byte from t = 8 on
         rows = [((0, 1), (1, -t)), ((1, 1),)]
-        assert certify_inverse(rows, [(1, 0), (t, 1)])
-        assert not certify_inverse(rows, [(1, 0), (t + 1, 1)])
-        assert not certify_inverse(rows, [(1, 0), (t, 2)])
+        assert certify(rows, [(1, 0), (t, 1)])
+        assert not certify(rows, [(1, 0), (t + 1, 1)])
+        assert not certify(rows, [(1, 0), (t, 2)])
+        # checked_inverse chooses lanes that its own certificate admits
+        assert cone.checked_inverse("ab", rows) == (1, ((1, 0), (t, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -228,15 +267,15 @@ class TestCertificate:
             columns[c][r] = change[1]
         expected = det in (1, -1) and columns == exact and min(map(min, columns)) >= 0
         rows = sparse(dense)
-        assert certify_inverse(rows, columns) == reference_certify(rows, columns) == expected
+        assert certify(rows, columns) == reference_certify(rows, columns) == expected
 
     def test_general_coefficients(self):
         # (2 1; 1 1) has the inverse (1 -1; -1 2), rejected for its negative
         # entries; (3 -2; -1 1) has the nonnegative inverse (1 2; 1 3)
         rows = [((0, 2), (1, 1)), ((0, 1), (1, 1))]
-        assert not certify_inverse(rows, [(1, -1), (-1, 2)])
+        assert not certify(rows, [(1, -1), (-1, 2)])
         rows = [((0, 3), (1, -2)), ((0, -1), (1, 1))]
-        assert certify_inverse(rows, [(1, 1), (2, 3)])
+        assert certify(rows, [(1, 1), (2, 3)])
 
 
 class TestInversion:
@@ -351,13 +390,13 @@ class TestDecompose:
             decompose(FIG_WORD, a)
 
     def test_recombination_failure_is_an_error(self, monkeypatch):
-        good = spanning.v_simple
+        good = spanning.formula_vectors
 
-        def bad(j, n):
-            v = good(j, n)
-            return RootVector(n, (v.values[0] + 1,) + v.values[1:])
+        def bad(n, chamber_list):
+            columns = good(n, chamber_list)
+            return [columns[0] + 1] + columns[1:]
 
-        monkeypatch.setattr(spanning, "v_simple", bad)
+        monkeypatch.setattr(spanning, "formula_vectors", bad)
         span = spanning_set(FIG_WORD)
         with pytest.raises(CertificateError):
             decompose(FIG_WORD, span.vector(SimpleRootLabel(1)))

@@ -7,8 +7,8 @@ import random
 import re
 
 import pytest
-from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, reference_certify
-from test_spanning import chi_square
+from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, TOP_BIT_COLUMNS, TOP_BIT_ROWS, packed
+from test_spanning import chi_square, plant_chamber_columns
 from test_wiring import legality_disagreements
 
 from lusztig_cones import cone, spanning, wiring
@@ -44,29 +44,44 @@ def test_chi_square_rejects_the_braid_walk():
     assert statistic > bound
 
 
+def sets_of(word):
+    """Chamber label -> chamber set of the word."""
+    return {
+        ChamberLabel(c.left_pos, c.right_pos): c.chamber_set
+        for c in wiring.chambers(wiring.build_wiring(word))
+    }
+
+
 def assert_every_word_reported(monkeypatch, planted):
-    """Plant ``planted`` as ``chamber_column``: exhaustive verify at n=4
+    """Plant ``planted`` as each chamber's column: exhaustive verify at n=4
     must report every word, each record with its label, the planted column
-    as expected and the Bareiss column as got."""
-    monkeypatch.setattr(spanning, "chamber_column", planted)
+    as expected, the Bareiss column as got, and the chamber set, its
+    boundary and its partial quiver."""
+    plant_chamber_columns(monkeypatch, planted)
     report = spanning.verify_all(4)
     assert report.checked == 768 and report.mismatches
     by_word = {}
-    for word, label, expected, got in report.mismatches:
+    for word, label, expected, got, _ in report.mismatches:
         by_word.setdefault(word, []).append((label, expected, got))
     for word, records in by_word.items():
-        span = spanning_set(word)
-        sets = {
-            ChamberLabel(c.left_pos, c.right_pos): c.chamber_set
-            for c in wiring.chambers(wiring.build_wiring(word))
-        }
+        span, sets = spanning_set(word), sets_of(word)
         for label, expected, got in records:
             assert expected == planted(sets[label], 4)
             assert got == span.vector(label) != expected
     assert len(by_word) == 768
-    record = report.to_json()["mismatches"][0]
-    assert set(record) == {"word", "label", "expected", "got"}
-    assert record["expected"] != record["got"]
+    for (word, label, expected, got, _), record in zip(
+        report.mismatches, report.to_json()["mismatches"]
+    ):
+        members = sets_of(word)[label]
+        assert record == {
+            "word": list(word.letters),
+            "label": label.to_json(),
+            "expected": list(expected.values),
+            "got": list(got.values),
+            "chamber_set": sorted(members),
+            "boundary": wiring.chamber_boundary(members, 4),
+            "partial_quiver": str(partial_quiver_of(members, 4)),
+        }
 
 
 def test_rounding_half_down_is_reported(monkeypatch):
@@ -167,28 +182,56 @@ def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
 # matrix with its own inverse, that only a sound certificate rejects.
 # Every guard passes on the package's certificate and fails on the
 # planted one, naming the word (and the label where verify reports one).
+# Each planted certificate takes packed columns, as the package's does.
 
 
-def diagonal_only(rows, columns):
-    """Nonnegativity and the diagonal of M·V = I, but nothing off it."""
-    if any(min(col) < 0 for col in columns):
+def sums(rows, packed, width):
+    """The column sums acc_j of V·M, the low b bits that the column
+    weights allow, and one lane of ``width`` bits repeated k times."""
+    k = len(rows)
+    acc, weight = [0] * k, [0] * k
+    for row, col in zip(rows, packed):
+        for j, a in row:
+            acc[j] += a * col
+            weight[j] += abs(a)
+    b = max(width - 1 - max(weight).bit_length(), 0)
+    return acc, b, ((1 << width * k) - 1) // ((1 << width) - 1)
+
+
+def diagonal_only(rows, packed, width):
+    """The lane mask, then only the diagonal of V·M = I, from lane j of
+    each column: nothing off it."""
+    _, b, lanes = sums(rows, packed, width)
+    if any(col & ~(((1 << b) - 1) * lanes) for col in packed):
         return False
-    return all(
-        sum(a * columns[r][i] for i, a in row) == 1 for r, row in enumerate(rows)
-    )
+    diagonal = [0] * len(rows)
+    for row, col in zip(rows, packed):
+        for j, a in row:
+            diagonal[j] += a * (col >> width * j & (1 << width) - 1)
+    return all(x == 1 for x in diagonal)
 
 
-def no_nonnegativity_test(rows, columns):
-    """Every entry of M·V = I, with the nonnegativity test skipped."""
-    return all(
-        sum(a * columns[c][i] for i, a in row) == (r == c)
-        for r, row in enumerate(rows)
-        for c in range(len(columns))
-    )
+def no_nonnegativity_test(rows, packed, width):
+    """Every acc_j, with no mask: a negative entry's borrow goes unseen."""
+    acc, _, _ = sums(rows, packed, width)
+    return all(x == 1 << width * j for j, x in enumerate(acc))
 
 
-def unguarded_lanes(bound):
-    return 8
+def unguarded_lanes(rows, packed, width):
+    """A mask that keeps each lane's top bit clear but ignores the column
+    weights, so the sums may carry from one lane into the next."""
+    acc, _, lanes = sums(rows, packed, width)
+    if any(col & ~(((1 << width - 1) - 1) * lanes) for col in packed):
+        return False
+    return all(x == 1 << width * j for j, x in enumerate(acc))
+
+
+def top_bit_through(rows, packed, width):
+    """The weight-bounded mask, with each lane's top bit let through."""
+    acc, b, lanes = sums(rows, packed, width)
+    if any(col & ~(((1 << b) - 1 | 1 << width - 1) * lanes) for col in packed):
+        return False
+    return all(x == 1 << width * j for j, x in enumerate(acc))
 
 
 def guard_off_diagonal(monkeypatch, n):
@@ -203,14 +246,13 @@ def guard_off_diagonal(monkeypatch, n):
         ch = chamber_list[-1]
         touched = {c.strings for c in (ch.left, ch.right) + ch.above + ch.below}
         i = next(i for i, root in enumerate(all_positive_roots(n)) if root not in touched)
-        v = columns[-1].values
-        columns[-1] = RootVector(n, v[:i] + (v[i] + 1,) + v[i + 1 :])
+        columns[-1] += 1 << spanning.rank_table(n).width * i
         return columns
 
     monkeypatch.setattr(spanning, "formula_vectors", raised)
     report = spanning.verify_all(n)
     monkeypatch.undo()
-    found = {word: (label, expected, got) for word, label, expected, got in report.mismatches}
+    found = {word: (label, expected, got) for word, label, expected, got, _ in report.mismatches}
     for word in enumerate_reduced_words(n):
         assert word in found, f"word {word.letters}: off-diagonal error not reported"
         label, expected, got = found[word]
@@ -228,34 +270,39 @@ def merge(row, extra):
     return tuple((i, a) for i, a in total.items() if a)
 
 
-def guard_negative_inverse(monkeypatch, n):
-    """Add the last chamber row to the row of simple root 1 and give the
-    formula columns the exact inverse of that matrix: its last column is
-    V_c - V_1, which is -1 at the root (1, 2).  M·V = I holds, so only the
-    nonnegativity test rejects it; verify must then raise, naming the word
-    and the label."""
-    real_rows, real_formulas = cone.root_rows, spanning.formula_vectors
-
-    def rows(n, chamber_list):
-        labels, rs = real_rows(n, chamber_list)
-        return labels, (merge(rs[0], rs[-1]),) + rs[1:]
-
-    def formulas(n, chamber_list):
-        columns = real_formulas(n, chamber_list)
-        v1, vc = columns[0].values, columns[-1].values
-        columns[-1] = RootVector(n, tuple(x - y for x, y in zip(vc, v1)))
-        return columns
-
-    monkeypatch.setattr(cone, "root_rows", rows)
-    monkeypatch.setattr(spanning, "formula_vectors", formulas)
+def assert_raises_naming_the_word(n, message):
+    """verify_all(n) must raise on the first word, with ``message``."""
     try:
         report = spanning.verify_all(n)
     except ValueError as exc:
         first = next(enumerate_reduced_words(n))
         assert str(exc).startswith(f"word {first.letters}: UnimodularityError")
-        assert "inverse column of ChamberLabel" in str(exc)
+        assert message in str(exc)
     else:
-        raise AssertionError(f"negative inverse columns accepted: {report.to_json()}")
+        raise AssertionError(f"planted columns accepted: {report.to_json()}")
+
+
+def guard_negative_inverse(monkeypatch, n):
+    """Add the last chamber row to the row of simple root 1 and give the
+    formula columns the exact inverse of that matrix: its last column is
+    V_c - V_1, which is -1 at the root (1, 2), a borrow into the top bits
+    of lane 0.  M·V = I holds, so only the mask rejects it; verify must
+    then raise, naming the word and the label."""
+    real_rows, real_formulas = cone.root_rows, spanning.formula_vectors
+
+    def rows(n, chamber_list):
+        rs = real_rows(n, chamber_list)
+        return (merge(rs[0], rs[-1]),) + rs[1:]
+
+    def formulas(n, chamber_list):
+        columns = real_formulas(n, chamber_list)
+        columns[-1] -= columns[0]
+        return columns
+
+    monkeypatch.setattr(cone, "root_rows", rows)
+    monkeypatch.setattr(spanning, "formula_vectors", formulas)
+    try:
+        assert_raises_naming_the_word(n, "inverse column of ChamberLabel")
     finally:
         monkeypatch.undo()
 
@@ -268,23 +315,43 @@ def guard_aliasing(monkeypatch, n):
     real_rows = cone.root_rows
 
     def rows(n, chamber_list):
-        labels, rs = real_rows(n, chamber_list)
+        rs = real_rows(n, chamber_list)
         j = len(rs) - 1
         bent = []
         for row in rs:
             a = dict(row)
             bent.append(merge(row, [(j, 256 * a.get(0, 0) - a.get(1, 0))]))
-        return labels, tuple(bent)
+        return tuple(bent)
 
     monkeypatch.setattr(cone, "root_rows", rows)
     try:
-        report = spanning.verify_all(n)
-    except ValueError as exc:
-        first = next(enumerate_reduced_words(n))
-        assert str(exc).startswith(f"word {first.letters}: UnimodularityError")
-        assert "inverse column of" in str(exc)
-    else:
-        raise AssertionError(f"aliased columns accepted: {report.to_json()}")
+        assert_raises_naming_the_word(n, "inverse column of")
+    finally:
+        monkeypatch.undo()
+
+
+def guard_top_bit(monkeypatch, n):
+    """Double column j = k-1 of every word's matrix, M' = M·D, and take
+    V'_c = V_c - V[j][c]·2^(width·j - 1) as its columns: V'·M' packs to I,
+    but where V[j][c] is odd (v_simple(n) has 1 at (n, n+1)) lane j-1 of
+    V'_c gets its top bit, and M' has determinant +-2, so its inverse is
+    not integral.  verify must raise, naming the word."""
+    real_rows, real_formulas = cone.root_rows, spanning.formula_vectors
+
+    def rows(n, chamber_list):
+        rs = real_rows(n, chamber_list)
+        j = len(rs) - 1
+        return tuple(tuple((i, 2 * a if i == j else a) for i, a in row) for row in rs)
+
+    def formulas(n, chamber_list):
+        width, j = spanning.rank_table(n).width, len(chamber_list) + n - 1
+        lane = (1 << width) - 1
+        return [x - ((x >> width * j & lane) << width * j - 1) for x in real_formulas(n, chamber_list)]
+
+    monkeypatch.setattr(cone, "root_rows", rows)
+    monkeypatch.setattr(spanning, "formula_vectors", formulas)
+    try:
+        assert_raises_naming_the_word(n, "inverse is not integral")
     finally:
         monkeypatch.undo()
 
@@ -292,7 +359,8 @@ def guard_aliasing(monkeypatch, n):
 CERTIFICATE_DEFECTS = [
     ("certify_inverse", diagonal_only, guard_off_diagonal),
     ("certify_inverse", no_nonnegativity_test, guard_negative_inverse),
-    ("lane_width", unguarded_lanes, guard_aliasing),
+    ("certify_inverse", unguarded_lanes, guard_aliasing),
+    ("certify_inverse", top_bit_through, guard_top_bit),
 ]
 
 
@@ -316,7 +384,13 @@ def test_planted_certificate_defect_fails_its_guard(monkeypatch, name, defect, g
     assert getattr(cone, name) is real
 
 
-def test_unguarded_lanes_accept_an_aliasing_non_inverse(monkeypatch):
-    assert not cone.certify_inverse(ALIASING_ROWS, ALIASING_COLUMNS)
-    monkeypatch.setattr(cone, "lane_width", unguarded_lanes)
-    assert cone.certify_inverse(ALIASING_ROWS, ALIASING_COLUMNS)
+def test_unguarded_lanes_accept_an_aliasing_non_inverse():
+    columns = packed(ALIASING_COLUMNS, 8)
+    assert not cone.certify_inverse(ALIASING_ROWS, columns, 8)
+    assert unguarded_lanes(ALIASING_ROWS, columns, 8)
+
+
+def test_top_bit_through_accepts_a_non_inverse():
+    columns = packed(TOP_BIT_COLUMNS, 8)
+    assert not cone.certify_inverse(TOP_BIT_ROWS, columns, 8)
+    assert top_bit_through(TOP_BIT_ROWS, columns, 8)

@@ -127,7 +127,7 @@ class TestFormulas:
 
     @pytest.mark.parametrize("width", [16, 24])
     def test_wider_lanes(self, monkeypatch, width):
-        # ranks from 128 on need lanes of two bytes; force wider lanes at
+        # ranks from 32 on need lanes of two bytes; force wider lanes at
         # ranks up to 10, on tables built afresh
         monkeypatch.setattr(cone, "lane_width", lambda bound: width)
         spanning.rank_table.cache_clear()
@@ -139,11 +139,46 @@ class TestFormulas:
         finally:
             spanning.rank_table.cache_clear()
 
+    def test_lanes_admit_every_column(self):
+        # entries reach n // 2 and a column of M weighs at most 5 (3 bits),
+        # so the certificate's mask admits entries below 2^(width-4)
+        for n in range(1, 70):
+            width = spanning.rank_table(n).width
+            assert n // 2 < 2 ** (width - 4) and width == (8 if n < 32 else 16)
+
+    def test_half_rank_entry_needs_wider_lanes(self):
+        # the BFZ word of the alternating quiver at n = 34 has a column
+        # entry 17 = n // 2, past the 16 that 8-bit lanes admit
+        n = 34
+        word = pquiver.bfz_word(pquiver.Quiver(n, tuple("RL"[i % 2] for i in range(n - 1))))
+        chamber_list = wiring.chambers(wiring.build_wiring(word))
+        rows = cone.root_rows(n, chamber_list)
+        table = spanning.rank_table(n)
+        columns = spanning.formula_vectors(n, chamber_list)
+        assert max(max(table.vector(x).values) for x in columns) == 17
+        assert table.width == 16
+        assert cone.certify_inverse(rows, columns, 16)
+        narrow = [cone.pack(table.vector(x).values, 8) for x in columns]
+        assert not cone.certify_inverse(rows, narrow, 8)
+
 
 def bareiss_vectors(word):
     """The oracle: exact inverse columns, root-indexed, in label order."""
     span = spanning_set(word)
     return [span.vector(label) for label in span.matrix.labels]
+
+
+def plant_chamber_columns(monkeypatch, planted):
+    """Make ``formula_vectors`` give ``planted(members, n)``, a RootVector,
+    packed as the column of each chamber set."""
+    real = spanning.formula_vectors
+
+    def planted_vectors(n, chamber_list):
+        columns, width = real(n, chamber_list), spanning.rank_table(n).width
+        columns[n:] = [cone.pack(planted(c.chamber_set, n).values, width) for c in chamber_list]
+        return columns
+
+    monkeypatch.setattr(spanning, "formula_vectors", planted_vectors)
 
 
 def corrupt(monkeypatch, target):
@@ -157,7 +192,7 @@ def corrupt(monkeypatch, target):
             return v
         return RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
 
-    monkeypatch.setattr(spanning, "chamber_column", bad)
+    plant_chamber_columns(monkeypatch, bad)
 
 
 class TestVerifyTheorem:
@@ -229,11 +264,11 @@ class TestVerifyTheorem:
     def test_certificate_agrees_with_bareiss(self, n, seed):
         (w,) = random_words(n, 1, seed)
         chamber_list = wiring.chambers(wiring.build_wiring(w))
-        _, rows = cone.root_rows(n, chamber_list)
-        columns = [v.values for v in bareiss_vectors(w)]
-        assert cone.certify_inverse(rows, columns)
-        formulas = spanning.formula_vectors(n, chamber_list)
-        assert [v.values for v in formulas] == columns
+        rows = cone.root_rows(n, chamber_list)
+        width = spanning.rank_table(n).width
+        columns = [cone.pack(v.values, width) for v in bareiss_vectors(w)]
+        assert cone.certify_inverse(rows, columns, width)
+        assert spanning.formula_vectors(n, chamber_list) == columns
 
     def test_corrupted_formula_reports_true_inverse(self, monkeypatch):
         corrupt(monkeypatch, PartialQuiver.from_string("-R", 3))
@@ -276,13 +311,16 @@ from lusztig_cones import cone, spanning, wiring
 from lusztig_cones.cone import RootVector, spanning_set
 from lusztig_cones.words import ReducedWord
 
-good, target = spanning.chamber_column, frozenset({1, 3, 4})  # the set of -R
+good, target = spanning.formula_vectors, frozenset({1, 3, 4})  # the set of -R
 
-def bad(members, n):
-    v = good(members, n)
-    return v if members != target else RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
+def bad(n, chamber_list):
+    # one too large at the first entry of the column of -R's set
+    columns = good(n, chamber_list)
+    return columns[:n] + [
+        x + (c.chamber_set == target) for x, c in zip(columns[n:], chamber_list)
+    ]
 
-spanning.chamber_column = bad
+spanning.formula_vectors = bad
 w = ReducedWord(3, (1, 3, 2, 1, 3, 2))
 report = spanning.verify_theorem(w)
 wrong = [v for v in report.verdicts if not v.equal]
@@ -317,10 +355,10 @@ print(json.dumps({
         real = cone.certify_inverse
         calls = []
 
-        def reject_first(rows, columns):
+        def reject_first(rows, packed, width):
             # the first call is verify_theorem's; Bareiss's own check follows
             calls.append(rows)
-            return len(calls) > 1 and real(rows, columns)
+            return len(calls) > 1 and real(rows, packed, width)
 
         monkeypatch.setattr(cone, "certify_inverse", reject_first)
         with pytest.raises(CertificateError):
@@ -396,6 +434,31 @@ class TestVerifyAll:
         assert (report.checked, report.mismatches) == (768, [])
         assert calls == {"chamber_boundary": 768 * (10 - 4)}
 
+    def test_past_byte_lanes(self):
+        # at n = 40, 8-bit lanes would no longer admit n // 2 = 20
+        assert spanning.rank_table(40).width > 8
+        report = verify_all(40, mode="sample", count=2)
+        assert (report.checked, report.mismatches) == (2, [])
+
+    def test_passing_words_build_nothing_per_label(self, monkeypatch):
+        calls = Counter()
+
+        def counted(cls):
+            real = cls.__init__
+
+            def init(self, *args, **kwargs):
+                calls[cls.__name__] += 1
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        for cls in (RootVector, spanning.LabelVerdict, ChamberLabel):
+            counted(cls)
+        monkeypatch.setattr(cone, "unpack", lambda *args: calls.update(["unpack"]))
+        report = verify_all(4)
+        assert (report.checked, report.mismatches) == (768, [])
+        assert calls == {}
+
     @pytest.mark.parametrize(
         "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]
     )
@@ -416,14 +479,14 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_names_the_word(self, monkeypatch, jobs):
-        real = spanning.verify_theorem
+        real = wiring.build_wiring
 
         def fail_on_figure_word(word):
             if word == FIG_WORD:
                 raise ArithmeticError("planted failure")
             return real(word)
 
-        monkeypatch.setattr(spanning, "verify_theorem", fail_on_figure_word)
+        monkeypatch.setattr(wiring, "build_wiring", fail_on_figure_word)
         with pytest.raises(ValueError) as info:
             verify_all(3, mode="exhaustive", jobs=jobs)
         assert str(FIG_WORD.letters) in str(info.value)

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import deque
+from itertools import zip_longest
 
 import pytest
 
@@ -156,7 +157,28 @@ class TestCommutationClass:
                 assert v.n == n and is_reduced_word_for_w0(v.letters, n)
 
 
+def recursive_reduced_words(n):
+    """The former enumeration, the reference of the flat one: the same
+    depth-first search, one nested generator per letter, yielding letters."""
+    k = n * (n + 1) // 2
+
+    def extend(prefix, perm):
+        if len(prefix) == k:
+            yield prefix
+        for i in range(1, n + 1):
+            if perm[i - 1] < perm[i]:
+                swapped = perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :]
+                yield from extend(prefix + (i,), swapped)
+
+    return extend((), tuple(range(1, n + 2)))
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_recursive_reference(self, n):
+        pairs = zip_longest(enumerate_reduced_words(n), recursive_reduced_words(n))
+        assert all(w is not None and w.letters == ref for w, ref in pairs)
+
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 16), (4, 768)])
     def test_counts_match_hook_formula(self, n, count):
         assert staircase_tableaux_count(n) == count
