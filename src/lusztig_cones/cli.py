@@ -261,7 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="processes, this one included; each checks its own stride of the words",
+    )
     add("member", cmd_member, "--word", "--point")
     add("decompose", cmd_decompose, "--word", "--point")
     add("enumerate", cmd_enumerate)

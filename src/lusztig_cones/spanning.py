@@ -23,6 +23,7 @@ a word that passes in ``verify_all`` builds no vector, label or verdict.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -175,17 +176,21 @@ def verify_theorem(word: ReducedWord) -> TheoremReport:
     return TheoremReport(word=word, verdicts=_verdicts(word, True)[0])
 
 
-def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
-    """``count`` reduced words drawn uniformly, with replacement: each is
-    the Edelman–Greene word of a hook-walk tableau (``words.edelman_greene``,
+def random_word(n: int, seed: int, t: int) -> ReducedWord:
+    """The t-th word of the sample of seed ``seed``, drawn uniformly: the
+    Edelman–Greene word of a hook-walk tableau (``words.edelman_greene``,
     ``words.hook_walk_tableau``), as in Angel, Holroyd, Romik and Virág,
-    "Random sorting networks" (2007).  Integers only, deterministic given
-    (n, count, seed); each word is validated once, on construction."""
-    rng = random.Random(seed)
-    return [
-        ReducedWord(n, edelman_greene(hook_walk_tableau(n, rng)))
-        for _ in range(count)
-    ]
+    "Random sorting networks" (2007).  Integers only; the walk's generator
+    is seeded from (seed, t) alone, so each process of ``verify_all`` draws
+    its own words.  The word is validated once, on construction."""
+    rng = random.Random(f"{seed}/{t}")
+    return ReducedWord(n, edelman_greene(hook_walk_tableau(n, rng)))
+
+
+def random_words(n: int, count: int, seed: int) -> list[ReducedWord]:
+    """``count`` reduced words drawn uniformly and independently, with
+    replacement: ``random_word(n, seed, t)`` for t = 0, ..., count-1."""
+    return [random_word(n, seed, t) for t in range(count)]
 
 
 @dataclass
@@ -224,20 +229,53 @@ def _chamber_fields(members, n: int) -> dict:
     }
 
 
-def _check_words(words) -> list:
-    """The mismatch records of the words; a certified word builds nothing."""
-    mismatches = []
-    for word in words:
+def _check_share(n: int, mode: str, count: int, seed: int, share: int, jobs: int):
+    """Check the words share, share+jobs, share+2·jobs, ... of the run,
+    enumerated or drawn here: (words checked, [(word index, mismatch
+    record), ...]).  A certified word builds nothing."""
+    if mode == "exhaustive":
+        words = itertools.islice(enumerate_reduced_words(n), share, None, jobs)
+    else:
+        words = (random_word(n, seed, t) for t in range(share, count, jobs))
+    checked, mismatches = 0, []
+    for checked, word in enumerate(words, 1):
         try:
-            checked = _verdicts(word, False)
+            failing = _verdicts(word, False)
         except Exception as exc:
             raise ValueError(f"word {word.letters}: {type(exc).__name__}: {exc}") from exc
-        if checked:  # (verdicts, chambers) of a failing word
-            for v, ch in zip(checked[0], [None] * word.n + checked[1]):
+        if failing:  # (verdicts, chambers)
+            index = share + (checked - 1) * jobs
+            for v, ch in zip(failing[0], [None] * word.n + failing[1]):
                 if not v.equal:
                     fields = _chamber_fields(ch.chamber_set, word.n) if ch else {}
-                    mismatches.append((word, v.label, v.formula, v.inverse, fields))
-    return mismatches
+                    mismatches.append((index, (word, v.label, v.formula, v.inverse, fields)))
+    return checked, mismatches
+
+
+def _send_share(conn, *args) -> None:
+    """A child's share: its result, or its error's message, on ``conn``."""
+    try:
+        result = _check_share(*args)
+    except Exception as exc:
+        result = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+    conn.send(result)
+    conn.close()
+
+
+def _receive_share(process, conn, share: int):
+    """The result that ``process`` sent for ``share``; its error, or its
+    death before sending, raises ValueError."""
+    try:
+        result = conn.recv()
+    except EOFError:
+        process.join()
+        raise ValueError(
+            f"share {share}: its process exited with code {process.exitcode} "
+            "before sending its result"
+        ) from None
+    if isinstance(result, str):
+        raise ValueError(result)
+    return result
 
 
 def verify_all(
@@ -250,27 +288,48 @@ def verify_all(
     """Run verify_theorem over many words and aggregate mismatches.  An
     error raised on a word is re-raised as a ValueError naming its letters.
 
-    The words enumeration or sampling built are checked as they are, and
-    pickled to the ``jobs`` workers; unpickling does not validate them
-    again.  A run that would check no word raises ValueError."""
+    The run is split into J = min(jobs, words) shares by stride: share i
+    holds the words i, i+J, i+2J, ...  The parent checks share 0 and
+    starts one process per other share, which enumerates or draws
+    (``random_word``) and checks its own words and sends back only its
+    count and mismatch records; the records are merged in word order, so
+    the report does not depend on ``jobs``.  A process that dies or
+    raises ends the run with a ValueError, and no process outlives the
+    call.  A run that would check no word raises ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if mode == "exhaustive":
-        words = list(enumerate_reduced_words(n))
+        shares = sum(1 for _ in itertools.islice(enumerate_reduced_words(n), jobs))
     elif mode == "sample":
         if count < 1:
             raise ValueError(f"count must be at least 1 in sample mode, got {count}")
-        words = random_words(n, count, seed)
+        shares = min(jobs, count)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if jobs > 1 and len(words) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    args = (n, mode, count, seed)
+    children = []
+    try:
+        if shares > 1:
+            import multiprocessing
 
-        chunks = [words[i::jobs] for i in range(jobs) if words[i::jobs]]
-        mismatches = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_check_words, chunks):
-                mismatches.extend(part)
-    else:
-        mismatches = _check_words(words)
-    return VerifyReport(n=n, checked=len(words), mismatches=mismatches)
+            for share in range(1, shares):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.Process(
+                    target=_send_share, args=(sender, *args, share, shares), daemon=True
+                )
+                with sender:
+                    process.start()
+                children.append((process, receiver))
+        results = [_check_share(*args, 0, shares)]
+        results += [_receive_share(p, conn, i) for i, (p, conn) in enumerate(children, 1)]
+    except BaseException:
+        for process, _ in children:
+            process.terminate()
+        raise
+    finally:
+        for process, conn in children:
+            process.join()
+            conn.close()
+    records = sorted(itertools.chain.from_iterable(r for _, r in results), key=lambda r: r[0])
+    return VerifyReport(n=n, checked=sum(c for c, _ in results),
+                        mismatches=[record for _, record in records])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_spanning import kill_children
 
 from lusztig_cones import spanning
 from lusztig_cones.cli import main
@@ -206,6 +207,12 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "--n", "4", "--out", str(path))
         assert (code, out) == (1, "")
         assert str(path) in json.loads(err)["error"]
+
+    def test_dead_verify_process_is_structured_error(self, capsys, monkeypatch):
+        kill_children(monkeypatch)
+        code, out, err = run(capsys, "verify", "--n", "3", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert "exited with code 3" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "command, fmt",

@@ -3,6 +3,7 @@ piece, by monkeypatch or as a stand-in, and asserts that the check meant
 to guard against it fails, with enough in its report to reproduce it."""
 
 import dataclasses
+import functools
 import random
 import re
 
@@ -84,12 +85,26 @@ def assert_every_word_reported(monkeypatch, planted):
         }
 
 
-def test_rounding_half_down_is_reported(monkeypatch):
-    def half_down(members, n):
-        weight = spanning.weight_vector(partial_quiver_of(members, n))
-        return RootVector(n, tuple(x // 2 for x in weight.values))
+def half_down(members, n):
+    """The component weight halved rounding down, not up."""
+    weight = spanning.weight_vector(partial_quiver_of(members, n))
+    return RootVector(n, tuple(x // 2 for x in weight.values))
 
+
+def test_rounding_half_down_is_reported(monkeypatch):
     assert_every_word_reported(monkeypatch, half_down)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"n": 4, "mode": "exhaustive"}, {"n": 5, "mode": "sample", "count": 60, "seed": 7}]
+)
+def test_fan_out_reports_the_same_mismatches(monkeypatch, kwargs):
+    # every process reports the planted defect, merged in word order
+    plant_chamber_columns(monkeypatch, functools.lru_cache(maxsize=None)(half_down))
+    serial = spanning.verify_all(**kwargs).to_json()
+    assert serial["mismatches"]
+    for jobs in (2, 3):
+        assert spanning.verify_all(**kwargs, jobs=jobs).to_json() == serial
 
 
 def test_boundary_sum_rounded_up_is_reported(monkeypatch):

@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -27,6 +29,7 @@ from lusztig_cones.pquiver import (
     chamber_set_of,
 )
 from lusztig_cones.spanning import (
+    random_word,
     random_words,
     v_component,
     v_partial_quiver,
@@ -493,6 +496,75 @@ class TestVerifyAll:
         assert "ArithmeticError: planted failure" in str(info.value)
 
 
+    @pytest.mark.parametrize("share", [0, 1])
+    def test_jobs_error_in_a_share_names_the_word(self, monkeypatch, share):
+        # share 0 is the parent's, share 1 a child's
+        target = list(enumerate_reduced_words(3))[share]
+        real = wiring.build_wiring
+
+        def fail_on_target(word):
+            if word == target:
+                raise ArithmeticError("planted failure")
+            return real(word)
+
+        monkeypatch.setattr(wiring, "build_wiring", fail_on_target)
+        with pytest.raises(ValueError) as info:
+            verify_all(3, mode="exhaustive", jobs=2)
+        assert str(target.letters) in str(info.value)
+        assert "ArithmeticError: planted failure" in str(info.value)
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_leave_no_process(self):
+        report = verify_all(3, mode="exhaustive", jobs=2)
+        assert (report.checked, report.mismatches) == (16, [])
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_dead_child_is_a_value_error(self, monkeypatch):
+        # a parent that kept the child's pipe end open would wait forever
+        def timeout(signum, frame):
+            raise TimeoutError("verify_all still waits for a dead process")
+
+        kill_children(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValueError, match=r"^share 1: .* exited with code 3 "):
+                verify_all(3, mode="exhaustive", jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "n, mode, count, checked", [(2, "exhaustive", 1, 2), (5, "sample", 2, 2)]
+    )
+    def test_jobs_start_no_process_for_an_empty_share(self, monkeypatch, n, mode, count, checked):
+        started = []
+        real = multiprocessing.Process.start
+
+        def start(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        report = verify_all(n, mode=mode, count=count, jobs=4)
+        assert (report.checked, report.mismatches) == (checked, [])
+        assert len(started) == 1
+
+
+def kill_children(monkeypatch):
+    """Make every process but this one exit with code 3 before it checks
+    its first word, without sending a result."""
+    parent, real = os.getpid(), wiring.build_wiring
+
+    def build_wiring(word):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(word)
+
+    monkeypatch.setattr(wiring, "build_wiring", build_wiring)
+
+
 def chi_square(sample, n):
     """Pearson's statistic of ``sample`` against the uniform law on every
     reduced word of rank n, and its rejection bound: the chi-square
@@ -523,6 +595,11 @@ class TestRandomWords:
 
     def test_seed_changes_sample(self):
         assert random_words(5, 10, seed=1) != random_words(5, 10, seed=2)
+
+    @pytest.mark.parametrize("n, seed, t", [(1, 0, 2), (4, 3, 0), (5, 9, 7), (12, 1, 4)])
+    def test_each_word_depends_on_its_index_alone(self, n, seed, t):
+        word = random_word(n, seed, t)
+        assert random_words(n, t + 1, seed)[t] == random_words(n, t + 5, seed)[t] == word
 
     def test_rank_one_stays_put(self):
         assert random_words(1, 3, seed=0) == [staircase_word(1)] * 3
