@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="processes, this one included; each checks its own stride of the words",
+        help="processes, this one included, at most one per core; each checks its own "
+        "subtrees of the reduced words (exhaustive) or its own stride of them (sample)",
     )
     add("member", cmd_member, "--word", "--point")
     add("decompose", cmd_decompose, "--word", "--point")

@@ -18,12 +18,24 @@ there, the weight is max(N-1, 0), whose rounded-up half is ⌊N/2⌋; so a
 chamber's column is the sum of v_simple(t) over t in ∂S, then one shift
 and one mask, in every lane at once.  The certificate takes them packed:
 a word that passes in ``verify_all`` builds no vector, label or verdict.
+
+Exhaustive runs certify along the prefix tree of reduced words
+(``_walk``).  In root coordinates a chamber's row and its column are fixed
+once its right crossing is placed, so they enter the column sums acc_j of
+V·M once, at the tree node where the chamber closes, and every word below
+shares them.  A word is certified at its leaf when every acc_j is the
+unit 1 << width·j, every chamber column passes ``RankTable.mask`` (each
+entry below 2^b, b = width - 4) and no column of M weighs more than 7.
+Then every digit of V·M - I is below 2^(width-1) in absolute value, and
+acc_j = unit for every j proves V·M = I, as in ``cone.certify_inverse``.
+Any other word is checked on its own, as a sampled word is.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 from dataclasses import dataclass
 
@@ -32,10 +44,11 @@ from .cone import RootVector
 from .pquiver import Component, PartialQuiver
 from .words import (
     ReducedWord,
+    _reduced_by_construction,
     all_positive_roots,
     edelman_greene,
-    enumerate_reduced_words,
     hook_walk_tableau,
+    longest_word_length,
 )
 
 
@@ -45,17 +58,19 @@ class RankTable:
     (``cone.pack``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
-    p <= j < q, and ``mask`` holds 2^(width-1) - 1 in every lane.  Entries
+    p <= j < q, and ``mask`` holds 2^(width-4) - 1 in every lane.  Entries
     reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row, two
     chambers ending at its crossing, two around it), so with ⌊n/2⌋·2^3 <
-    2^(width-1) the mask of ``cone.certify_inverse`` passes every column.
+    2^(width-1) the mask of ``cone.certify_inverse`` passes every column,
+    and so does ``mask``, the mask of the prefix-tree certificate
+    (``_walk``), whose column weights stop at 7.
     """
 
     def __init__(self, n: int):
         roots = all_positive_roots(n)
         self.n, self.k = n, len(roots)
         self.width = width = cone.lane_width(n // 2 << 3)
-        self.mask = cone.pack([(1 << width - 1) - 1] * self.k, width)
+        self.mask = cone.pack([(1 << width - 4) - 1] * self.k, width)
         self.simple = tuple(
             cone.pack([int(p <= j < q) for p, q in roots], width) for j in range(1, n + 1)
         )
@@ -229,26 +244,155 @@ def _chamber_fields(members, n: int) -> dict:
     }
 
 
-def _check_share(n: int, mode: str, count: int, seed: int, share: int, jobs: int):
-    """Check the words share, share+jobs, share+2·jobs, ... of the run,
-    enumerated or drawn here: (words checked, [(word index, mismatch
-    record), ...]).  A certified word builds nothing."""
+def _walk(n: int, depth: int = 0, share: int = 0, shares: int = 1):
+    """Every reduced word of w0, in the order of ``enumerate_reduced_words``,
+    with whether the prefix tree certifies its closed-form columns:
+    (word, certified).  Only the subtrees under the prefixes of length
+    ``depth`` whose rank in that order is ``share`` modulo ``shares`` are
+    walked.
+
+    Depth first over reduced prefixes, one swap of the trace per node.  A
+    letter i closes the chamber open at level i, if one is: its row (-1 at
+    its left and right crossings, +1 at the crossings one level up or down
+    in between, as in ``cone.root_rows``) and its column
+    (``_packed_column`` of the strings below level i, as in
+    ``formula_vectors``, memoised per chamber set) are fixed there, and
+    every word below shares them.  For each (j, a) of the row the node adds
+    a·column to acc_j, the running column j of V·M, and |a| = 1 to the
+    column weight w_j; backtracking restores both.  The simple rows and columns
+    enter once, at the root.  ``faults`` counts the j with acc_j !=
+    1 << width·j, the j with w_j > 7, and the closed chambers whose column
+    is illegal or fails the mask.  At a leaf every chamber is closed, so
+    the rows and columns are the word's, and the word is certified iff
+    ``faults`` is 0.  A chamber whose ``_packed_column`` raises leaves the
+    words below it uncertified: their per-word check raises the error.
+
+    Soundness, as in ``cone.certify_inverse`` with b = width - 4:
+    ``RankTable.mask`` admits only entries in [0, 2^b), and w_j <= 7, so
+    each digit (V·M)[i][j] of acc_j is at most 7·(2^b - 1) < 2^(width-1)
+    in absolute value.  If acc_j is the unit, the digits of V·M - I, each
+    below 2^width in absolute value, sum to zero with the weights
+    2^(width·i); the lowest nonzero one would be a multiple of 2^width, so
+    none is and V·M = I, which proves V = M^-1 for the square integer M.
+    The weights are counted, not read off the shape of the rows, so the
+    proof holds whatever the rows are.
+    """
+    table = rank_table(n)
+    k, width, mask = table.k, table.width, table.mask
+    unit = [1 << width * j for j in range(k)]
+    lane = [[0] * (n + 2) for _ in range(n + 2)]  # lane[p][q]: the root (p, q)
+    for i, (p, q) in enumerate(all_positive_roots(n)):
+        lane[p][q] = i
+    acc, weight = [0] * k, [0] * k
+    for j, column in enumerate(table.simple, 1):
+        acc[lane[j][j + 1]] += column
+        weight[lane[j][j + 1]] += 1
+    faults = sum(x != u for x, u in zip(acc, unit)) + sum(c & ~mask != 0 for c in table.simple)
+    columns = {}  # chamber set, as a bit mask of strings -> its column, None if it raised
+    state = list(range(1, n + 2))  # the strings, top to bottom
+    below = [sum(1 << s for s in state[i:]) for i in range(n + 1)]  # strings under level i
+    # level i -> (lane of its last crossing, the row pairs (lane, 1) of the
+    # crossings at levels i-1 and i+1 since), or None before its first crossing
+    opened = [None] * (n + 2)
+    prefix, frames, seen, i = [], [], 0, 1
+    while True:
+        if i == 1:  # arrived at a node; a return from a child sets i past 1
+            if len(prefix) == depth:
+                if seen % shares != share:
+                    i = n + 1
+                seen += 1
+            if len(prefix) == k and i == 1:
+                yield _reduced_by_construction(n, tuple(prefix)), not faults
+        while i <= n and state[i - 1] > state[i]:
+            i += 1
+        if i <= n:
+            a, b = state[i - 1], state[i]
+            r, up, left, down = lane[a][b], opened[i - 1], opened[i], opened[i + 1]
+            changes = []
+            frames.append((faults, up, left, down, changes))
+            if left is not None:
+                members = below[i]
+                if members not in columns:
+                    chamber_set = frozenset(s for s in range(1, n + 2) if members >> s & 1)
+                    try:
+                        columns[members] = _packed_column(table, chamber_set)
+                    except Exception:  # raised again, naming the word, below
+                        columns[members] = None
+                column = columns[members]
+                if column is None or column & ~mask:
+                    faults += 1
+                    column = 0
+                for j, c in ((left[0], -1), (r, -1)) + left[1]:
+                    x, w = acc[j], weight[j]
+                    changes.append((j, x, w))
+                    acc[j] = y = x + c * column
+                    weight[j] = w + 1
+                    faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
+            if up is not None:
+                opened[i - 1] = (up[0], up[1] + ((r, 1),))
+            if down is not None:
+                opened[i + 1] = (down[0], down[1] + ((r, 1),))
+            opened[i] = (r, ())
+            state[i - 1], state[i] = b, a
+            below[i] ^= 1 << a | 1 << b
+            prefix.append(i)
+            i = 1
+        elif prefix:
+            i = prefix.pop()
+            faults, opened[i - 1], opened[i], opened[i + 1], changes = frames.pop()
+            for j, x, w in reversed(changes):
+                acc[j], weight[j] = x, w
+            a, b = state[i - 1], state[i]
+            state[i - 1], state[i] = b, a
+            below[i] ^= 1 << a | 1 << b
+            i += 1
+        else:
+            return
+
+
+def _prefix_split(n: int, jobs: int) -> tuple[int, int]:
+    """(depth, shares) of an exhaustive run on ``jobs`` processes: the least
+    depth with at least 8·jobs reduced prefixes, or the words' length if
+    none has that many, and min(jobs, prefixes of that length)."""
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    k, level, depth = longest_word_length(n), [tuple(range(1, n + 2))], 0
+    while len(level) < 8 * jobs and depth < k:
+        level = [
+            p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+            for p in level
+            for i in range(1, n + 1)
+            if p[i - 1] < p[i]
+        ]
+        depth += 1
+    return depth, min(jobs, len(level))
+
+
+def _check_share(n: int, mode: str, count: int, seed: int, depth: int, share: int, shares: int):
+    """Check one share of the run: (words checked, [(sort key, mismatch
+    record), ...]).  Exhaustive, the share is walked (``_walk``) and only an
+    uncertified word is checked on its own; its key is its letters.
+    Sampled, the share is the words share, share+shares, ..., each drawn
+    here and checked on its own; the key is its index.  A certified word
+    builds nothing."""
     if mode == "exhaustive":
-        words = itertools.islice(enumerate_reduced_words(n), share, None, jobs)
+        words = _walk(n, depth, share, shares)
     else:
-        words = (random_word(n, seed, t) for t in range(share, count, jobs))
+        words = ((random_word(n, seed, t), False) for t in range(share, count, shares))
     checked, mismatches = 0, []
-    for checked, word in enumerate(words, 1):
+    for checked, (word, certified) in enumerate(words, 1):
+        if certified:
+            continue
         try:
             failing = _verdicts(word, False)
         except Exception as exc:
             raise ValueError(f"word {word.letters}: {type(exc).__name__}: {exc}") from exc
         if failing:  # (verdicts, chambers)
-            index = share + (checked - 1) * jobs
+            key = word.letters if mode == "exhaustive" else share + (checked - 1) * shares
             for v, ch in zip(failing[0], [None] * word.n + failing[1]):
                 if not v.equal:
                     fields = _chamber_fields(ch.chamber_set, word.n) if ch else {}
-                    mismatches.append((index, (word, v.label, v.formula, v.inverse, fields)))
+                    mismatches.append((key, (word, v.label, v.formula, v.inverse, fields)))
     return checked, mismatches
 
 
@@ -288,25 +432,31 @@ def verify_all(
     """Run verify_theorem over many words and aggregate mismatches.  An
     error raised on a word is re-raised as a ValueError naming its letters.
 
-    The run is split into J = min(jobs, words) shares by stride: share i
-    holds the words i, i+J, i+2J, ...  The parent checks share 0 and
-    starts one process per other share, which enumerates or draws
-    (``random_word``) and checks its own words and sends back only its
-    count and mismatch records; the records are merged in word order, so
-    the report does not depend on ``jobs``.  A process that dies or
-    raises ends the run with a ValueError, and no process outlives the
-    call.  A run that would check no word raises ValueError."""
+    The run is split into shares, one per process, with J = min(jobs,
+    cores) processes at most.  Exhaustive, the tree of reduced prefixes is
+    split at the least depth d with 8·J nodes or more (``_prefix_split``):
+    share i walks the subtrees under the depth-d prefixes of rank i modulo
+    the number of shares, and certifies along them (``_walk``).  Sampled,
+    share i of s holds the words i, i+s, i+2s, ... (``random_word``).  The
+    parent checks share 0 and starts one process per other share, which
+    checks its own words and sends back only its count and mismatch
+    records; the records are merged in word order (by letters when
+    exhaustive, by index when sampled), so the report does not depend on
+    ``jobs``.  A process that dies or raises ends the run with a
+    ValueError, and no process outlives the call.  A run that would check
+    no word raises ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if mode == "exhaustive":
-        shares = sum(1 for _ in itertools.islice(enumerate_reduced_words(n), jobs))
+        depth, shares = _prefix_split(n, jobs)
     elif mode == "sample":
         if count < 1:
             raise ValueError(f"count must be at least 1 in sample mode, got {count}")
-        shares = min(jobs, count)
+        depth, shares = 0, min(jobs, count)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    args = (n, mode, count, seed)
+    args = (n, mode, count, seed, depth)
     children = []
     try:
         if shares > 1:

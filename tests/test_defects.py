@@ -9,7 +9,7 @@ import re
 
 import pytest
 from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, TOP_BIT_COLUMNS, TOP_BIT_ROWS, packed
-from test_spanning import chi_square, plant_chamber_columns
+from test_spanning import certify_no_leaf, chi_square, plant_chamber_columns
 from test_wiring import legality_disagreements
 
 from lusztig_cones import cone, spanning, wiring
@@ -158,6 +158,7 @@ def test_shifted_chamber_set_is_reported_or_raises(monkeypatch):
             assert wrong and all(isinstance(v.label, ChamberLabel) for v in wrong)
             reported += 1
     assert raised and reported and raised + reported == 768
+    certify_no_leaf(monkeypatch)
     with pytest.raises(ValueError, match=r"^word \(1, 2, 1, 3, 2, 1, 4, 3, 2, 1\): .*chamber"):
         spanning.verify_all(4)
 
@@ -188,6 +189,7 @@ def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
             assert report.word == word
             reported.append(word)
     assert raised and reported and len(raised) + len(reported) == len(changed)
+    certify_no_leaf(monkeypatch)
     with pytest.raises(ValueError, match=rf"^word {re.escape(str(raised[0].letters))}: "):
         spanning.verify_all(4)
 
@@ -198,6 +200,8 @@ def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
 # Every guard passes on the package's certificate and fails on the
 # planted one, naming the word (and the label where verify reports one).
 # Each planted certificate takes packed columns, as the package's does.
+# The guards plant in the per-word layers, so the prefix tree certifies
+# no word while they run (``certify_no_leaf``).
 
 
 def sums(rows, packed, width):
@@ -265,6 +269,7 @@ def guard_off_diagonal(monkeypatch, n):
         return columns
 
     monkeypatch.setattr(spanning, "formula_vectors", raised)
+    certify_no_leaf(monkeypatch)
     report = spanning.verify_all(n)
     monkeypatch.undo()
     found = {word: (label, expected, got) for word, label, expected, got, _ in report.mismatches}
@@ -285,8 +290,10 @@ def merge(row, extra):
     return tuple((i, a) for i, a in total.items() if a)
 
 
-def assert_raises_naming_the_word(n, message):
-    """verify_all(n) must raise on the first word, with ``message``."""
+def assert_raises_naming_the_word(monkeypatch, n, message):
+    """verify_all(n), each word checked on its own, must raise on the first
+    word, with ``message``."""
+    certify_no_leaf(monkeypatch)
     try:
         report = spanning.verify_all(n)
     except ValueError as exc:
@@ -317,7 +324,7 @@ def guard_negative_inverse(monkeypatch, n):
     monkeypatch.setattr(cone, "root_rows", rows)
     monkeypatch.setattr(spanning, "formula_vectors", formulas)
     try:
-        assert_raises_naming_the_word(n, "inverse column of ChamberLabel")
+        assert_raises_naming_the_word(monkeypatch, n, "inverse column of ChamberLabel")
     finally:
         monkeypatch.undo()
 
@@ -340,7 +347,7 @@ def guard_aliasing(monkeypatch, n):
 
     monkeypatch.setattr(cone, "root_rows", rows)
     try:
-        assert_raises_naming_the_word(n, "inverse column of")
+        assert_raises_naming_the_word(monkeypatch, n, "inverse column of")
     finally:
         monkeypatch.undo()
 
@@ -366,7 +373,7 @@ def guard_top_bit(monkeypatch, n):
     monkeypatch.setattr(cone, "root_rows", rows)
     monkeypatch.setattr(spanning, "formula_vectors", formulas)
     try:
-        assert_raises_naming_the_word(n, "inverse is not integral")
+        assert_raises_naming_the_word(monkeypatch, n, "inverse is not integral")
     finally:
         monkeypatch.undo()
 

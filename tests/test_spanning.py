@@ -1,8 +1,10 @@
 import functools
+import itertools
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -149,6 +151,16 @@ class TestFormulas:
             width = spanning.rank_table(n).width
             assert n // 2 < 2 ** (width - 4) and width == (8 if n < 32 else 16)
 
+    @pytest.mark.parametrize("n", [1, 4, 31, 32, 40])
+    def test_mask_keeps_the_bits_the_weight_cap_allows(self, n):
+        # the prefix tree caps column weights at 7, so b = width - 4: a
+        # digit of V·M stays below 7·(2^b - 1) < 2^(width-1), and the
+        # mask still admits every entry, at most n // 2
+        table = spanning.rank_table(n)
+        b = table.width - 4
+        assert cone.unpack(table.mask, table.k, table.width) == (2**b - 1,) * table.k
+        assert 7 * (2**b - 1) < 2 ** (table.width - 1) and n // 2 < 2**b
+
     def test_half_rank_entry_needs_wider_lanes(self):
         # the BFZ word of the alternating quiver at n = 34 has a column
         # entry 17 = n // 2, past the 16 that 8-bit lanes admit
@@ -172,30 +184,41 @@ def bareiss_vectors(word):
 
 
 def plant_chamber_columns(monkeypatch, planted):
-    """Make ``formula_vectors`` give ``planted(members, n)``, a RootVector,
-    packed as the column of each chamber set."""
-    real = spanning.formula_vectors
+    """Make ``_packed_column``, which the prefix tree and ``formula_vectors``
+    share, give ``planted(members, n)``, a RootVector, packed as the column
+    of each chamber set."""
 
-    def planted_vectors(n, chamber_list):
-        columns, width = real(n, chamber_list), spanning.rank_table(n).width
-        columns[n:] = [cone.pack(planted(c.chamber_set, n).values, width) for c in chamber_list]
-        return columns
+    def planted_column(table, members):
+        return cone.pack(planted(members, table.n).values, table.width)
 
-    monkeypatch.setattr(spanning, "formula_vectors", planted_vectors)
+    monkeypatch.setattr(spanning, "_packed_column", planted_column)
 
 
 def corrupt(monkeypatch, target):
     """Make the column of the chamber set of the partial quiver ``target``
     one too large at its first entry, where verify_theorem computes it."""
-    good, target_set = spanning.chamber_column, chamber_set_of(target)
+    good, target_set = spanning._packed_column, chamber_set_of(target)
 
     def bad(members, n):
-        v = good(members, n)
+        table = spanning.rank_table(n)
+        v = table.vector(good(table, members))
         if members != target_set:
             return v
         return RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
 
     plant_chamber_columns(monkeypatch, bad)
+
+
+def certify_no_leaf(monkeypatch):
+    """Make the prefix tree certify no word, so that an exhaustive
+    ``verify_all`` checks every word on its own (``_verdicts``), through
+    the per-word layers that a defect may be planted in."""
+    real = spanning._walk
+
+    def walk(*args):
+        return ((word, False) for word, _ in real(*args))
+
+    monkeypatch.setattr(spanning, "_walk", walk)
 
 
 class TestVerifyTheorem:
@@ -414,12 +437,14 @@ class TestVerifyAll:
 
     def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
         # the columns are read off the chamber sets' boundaries: one
-        # boundary scan per chamber, no component and no PartialQuiver
-        calls = Counter()
+        # boundary scan per distinct chamber set, no component and no
+        # PartialQuiver
+        calls, scans = Counter(), Counter()
         real_boundary, real_init = wiring.chamber_boundary, PartialQuiver.__post_init__
 
         def boundary(members, n):
             calls["chamber_boundary"] += 1
+            scans[frozenset(members)] += 1
             return real_boundary(members, n)
 
         def components(members, n):
@@ -435,7 +460,14 @@ class TestVerifyAll:
         monkeypatch.setattr(PartialQuiver, "__post_init__", init)
         report = verify_all(4)
         assert (report.checked, report.mismatches) == (768, [])
-        assert calls == {"chamber_boundary": 768 * (10 - 4)}
+        monkeypatch.undo()
+        every_set = {
+            c.chamber_set
+            for w in enumerate_reduced_words(4)
+            for c in wiring.chambers(wiring.build_wiring(w))
+        }
+        assert set(scans) == every_set and set(scans.values()) == {1}
+        assert calls == {"chamber_boundary": len(every_set)}
 
     def test_past_byte_lanes(self):
         # at n = 40, 8-bit lanes would no longer admit n // 2 = 20
@@ -482,6 +514,7 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_names_the_word(self, monkeypatch, jobs):
+        certify_no_leaf(monkeypatch)
         real = wiring.build_wiring
 
         def fail_on_figure_word(word):
@@ -498,8 +531,11 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("share", [0, 1])
     def test_jobs_error_in_a_share_names_the_word(self, monkeypatch, share):
-        # share 0 is the parent's, share 1 a child's
-        target = list(enumerate_reduced_words(3))[share]
+        # share 0 is the parent's, share 1 a child's: the first word of each
+        depth, shares = spanning._prefix_split(3, 2)
+        assert shares == 2
+        target, _ = next(spanning._walk(3, depth, share, shares))
+        certify_no_leaf(monkeypatch)
         real = wiring.build_wiring
 
         def fail_on_target(word):
@@ -535,6 +571,33 @@ class TestVerifyAll:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_jobs_capped_at_the_cores(self, monkeypatch, mode):
+        # at most os.cpu_count() processes, whatever jobs asks for: with
+        # three cores no more than two children start, and the report,
+        # planted mismatches included, is the same for every jobs
+        corrupt(monkeypatch, PartialQuiver.from_string("-R", 3))
+        started = []
+        real = multiprocessing.Process.start
+
+        def start(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = verify_all(3, mode=mode, count=40, seed=2).to_json()
+        assert serial["mismatches"]
+        for jobs, children in [(1, 0), (2, 1), (3, 2), (4, 2), (5000, 2)]:
+            started.clear()
+            assert verify_all(3, mode=mode, count=40, seed=2, jobs=jobs).to_json() == serial
+            assert len(started) == children
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+        started.clear()
+        assert verify_all(3, mode=mode, count=40, seed=2, jobs=5000).to_json() == serial
+        assert started == []
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "n, mode, count, checked", [(2, "exhaustive", 1, 2), (5, "sample", 2, 2)]
     )
@@ -552,17 +615,112 @@ class TestVerifyAll:
         assert len(started) == 1
 
 
-def kill_children(monkeypatch):
-    """Make every process but this one exit with code 3 before it checks
-    its first word, without sending a result."""
-    parent, real = os.getpid(), wiring.build_wiring
+class TestWalk:
+    """The exhaustive path: ``_walk`` certifies along the prefix tree."""
 
-    def build_wiring(word):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_yields_every_word_in_order_certified(self, n):
+        walked = list(spanning._walk(n))
+        assert [w for w, _ in walked] == list(enumerate_reduced_words(n))
+        assert all(certified for _, certified in walked)
+
+    def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
+        calls = []
+        real = spanning._verdicts
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spanning, "_verdicts", spy)
+        report = verify_all(4)
+        assert (report.checked, report.mismatches, calls) == (768, [], [])
+
+    @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
+    def test_agrees_with_certify_inverse_under_a_planted_defect(self, monkeypatch, held, missing):
+        # +1 in lane 0 of the columns of the sets that hold one string but
+        # not another: the tree and the per-word certificate accept the
+        # same words
+        real = spanning._packed_column
+
+        def planted(table, members):
+            return real(table, members) + (held in members and missing not in members)
+
+        monkeypatch.setattr(spanning, "_packed_column", planted)
+        width, accepted = spanning.rank_table(4).width, 0
+        for word, certified in spanning._walk(4):
+            chamber_list = wiring.chambers(wiring.build_wiring(word))
+            rows = cone.root_rows(4, chamber_list)
+            packed = spanning.formula_vectors(4, chamber_list)
+            assert certified == cone.certify_inverse(rows, packed, width), word.letters
+            accepted += certified
+        assert 0 < accepted < 768
+
+    def test_raising_column_names_the_first_word_below(self, monkeypatch):
+        # a chamber set whose column raises leaves the words below it
+        # uncertified; the first of them, checked on its own, names the error
+        real, bad = spanning._packed_column, frozenset({1, 3, 4})
+
+        def column(table, members):
+            if members == bad:
+                raise ValueError("planted failure")
+            return real(table, members)
+
+        monkeypatch.setattr(spanning, "_packed_column", column)
+        holds = {
+            w: bad in {c.chamber_set for c in wiring.chambers(wiring.build_wiring(w))}
+            for w in enumerate_reduced_words(3)
+        }
+        assert {w: not certified for w, certified in spanning._walk(3)} == holds
+        first = next(w for w, held in holds.items() if held)
+        message = rf"^word {re.escape(str(first.letters))}: ValueError: chamber \(\d+, \d+\): "
+        with pytest.raises(ValueError, match=message + "planted failure"):
+            verify_all(3)
+
+    @pytest.mark.parametrize("n, jobs", [(2, 2), (3, 2), (4, 2), (4, 3), (4, 5)])
+    def test_shares_partition_the_words(self, n, jobs):
+        every = [w.letters for w in enumerate_reduced_words(n)]
+        depth, shares = spanning._prefix_split(n, jobs)
+        nodes = len({letters[:depth] for letters in every})
+        # the least depth with 8·jobs prefixes, or the leaves
+        assert nodes >= 8 * jobs or depth == len(every[0])
+        assert depth == 0 or len({letters[: depth - 1] for letters in every}) < 8 * jobs
+        assert shares == min(jobs, nodes)
+        parts = [[w.letters for w, _ in spanning._walk(n, depth, i, shares)] for i in range(shares)]
+        assert all(parts)
+        assert sorted(itertools.chain.from_iterable(parts)) == every
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_and_columns_are_constant_on_a_commutation_class(self, n):
+        # the multiset of (root row, packed column) pairs of a word depends
+        # only on its commutation class
+        def pairs(word):
+            chamber_list = wiring.chambers(wiring.build_wiring(word))
+            rows = (tuple(sorted(row)) for row in cone.root_rows(n, chamber_list))
+            return Counter(zip(rows, spanning.formula_vectors(n, chamber_list)))
+
+        seen = set()
+        for word in enumerate_reduced_words(n):
+            if word not in seen:
+                commutation_class = words.commutation_class(word)
+                seen |= commutation_class
+                assert all(pairs(other) == pairs(word) for other in commutation_class)
+        assert seen == set(enumerate_reduced_words(n))
+
+
+def kill_children(monkeypatch):
+    """Make every process but this one exit with code 3 when it starts its
+    share, before its first word, without sending a result.  Two cores are
+    reported, so that ``jobs=2`` starts a child on any machine."""
+    parent, real = os.getpid(), spanning._check_share
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def check_share(*args):
         if os.getpid() != parent:
             os._exit(3)
-        return real(word)
+        return real(*args)
 
-    monkeypatch.setattr(wiring, "build_wiring", build_wiring)
+    monkeypatch.setattr(spanning, "_check_share", check_share)
 
 
 def chi_square(sample, n):
