@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -226,7 +227,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="lusztig-cones",
         description="Lusztig cones of type A: diagrams, matrices, spanning vectors.",

@@ -5,11 +5,11 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import functools
 import itertools
-import math
 import time
 
 import numpy as np
 import pytest
+from test_words import staircase_tableaux_count
 
 from lusztig_cones import cone, pquiver, spanning, wiring
 from lusztig_cones.cone import ChamberLabel, RootVector, spanning_set
@@ -43,18 +43,6 @@ def criterion(num, name):
     return deco
 
 
-def hook_formula_count(n):
-    """Reduced words of w0 = standard tableaux of staircase shape."""
-    rows = list(range(n, 0, -1))
-    hooks = 1
-    for r, row_len in enumerate(rows):
-        for c in range(row_len):
-            hooks *= (row_len - c - 1) + sum(
-                1 for rr in range(r + 1, n) if rows[rr] > c
-            ) + 1
-    return math.factorial(n * (n + 1) // 2) // hooks
-
-
 @pytest.fixture(scope="module")
 def sampled_words():
     return {
@@ -77,7 +65,7 @@ def test_main_theorem_exhaustive():
     start = time.monotonic()
     expected_counts = {1: 1, 2: 2, 3: 16, 4: 768}
     for n, count in expected_counts.items():
-        assert hook_formula_count(n) == count
+        assert staircase_tableaux_count(n) == count
         report = spanning.verify_all(n, mode="exhaustive")
         assert report.checked == count
         assert report.mismatches == []

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_spanning import kill_children
 
-from lusztig_cones import spanning
+from lusztig_cones import cli, spanning
 from lusztig_cones.cli import main
 
 
@@ -236,3 +240,29 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["chambers", "--n", "3"])  # missing --word
         assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(capsys):
+    # the parser is built once per process; a call after a rejected one
+    # must print and exit as it would in a process of its own
+    calls = [
+        ["verify", "--n", "3", "--format", "json"],
+        ["verify", "--n", "3", "--jobs", "0"],
+        ["spanning", "--n", "3", "--word", "1,3,2,1,3,2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lusztig_cones.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()

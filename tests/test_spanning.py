@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pquiver import reference_components
+from test_words import staircase_tableaux_count
 
 from lusztig_cones import cone, pquiver, spanning, wiring, words
 from lusztig_cones.cone import (
@@ -209,14 +210,101 @@ def corrupt(monkeypatch, target):
     plant_chamber_columns(monkeypatch, bad)
 
 
+def plain_walk(n, depth=0, share=0, shares=1):
+    """The reference walker: every reduced word of w0, in the order of
+    ``enumerate_reduced_words``, with whether the prefix tree certifies it:
+    (word, certified).  It visits every node of the tree, and certifies as
+    ``spanning._walk`` does, without the memo; ``opened`` holds (left lane,
+    ((lane, 1), ...)) per level.  Only the subtrees under the prefixes of
+    length ``depth`` whose rank is ``share`` modulo ``shares`` are walked."""
+    table = spanning.rank_table(n)
+    k, width, mask = table.k, table.width, table.mask
+    unit = [1 << width * j for j in range(k)]
+    lane = [[0] * (n + 2) for _ in range(n + 2)]
+    for i, (p, q) in enumerate(words.all_positive_roots(n)):
+        lane[p][q] = i
+    acc, weight = [0] * k, [0] * k
+    for j, column in enumerate(table.simple, 1):
+        acc[lane[j][j + 1]] += column
+        weight[lane[j][j + 1]] += 1
+    faults = sum(x != u for x, u in zip(acc, unit)) + sum(c & ~mask != 0 for c in table.simple)
+    columns = {}
+    state = list(range(1, n + 2))
+    below = [sum(1 << s for s in state[i:]) for i in range(n + 1)]
+    opened = [None] * (n + 2)
+    prefix, frames, seen, i = [], [], 0, 1
+    while True:
+        if i == 1:  # arrived at a node; a return from a child sets i past 1
+            if len(prefix) == depth:
+                if seen % shares != share:
+                    i = n + 1
+                seen += 1
+            if len(prefix) == k and i == 1:
+                yield words._reduced_by_construction(n, tuple(prefix)), not faults
+        while i <= n and state[i - 1] > state[i]:
+            i += 1
+        if i <= n:
+            a, b = state[i - 1], state[i]
+            r, up, left, down = lane[a][b], opened[i - 1], opened[i], opened[i + 1]
+            changes = []
+            frames.append((faults, up, left, down, changes))
+            if left is not None:
+                members = below[i]
+                if members not in columns:
+                    chamber_set = frozenset(s for s in range(1, n + 2) if members >> s & 1)
+                    try:
+                        columns[members] = spanning._packed_column(table, chamber_set)
+                    except Exception:
+                        columns[members] = None
+                column = columns[members]
+                if column is None or column & ~mask:
+                    faults += 1
+                    column = 0
+                for j, c in ((left[0], -1), (r, -1)) + left[1]:
+                    x, w = acc[j], weight[j]
+                    changes.append((j, x, w))
+                    acc[j] = y = x + c * column
+                    weight[j] = w + 1
+                    faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
+            if up is not None:
+                opened[i - 1] = (up[0], up[1] + ((r, 1),))
+            if down is not None:
+                opened[i + 1] = (down[0], down[1] + ((r, 1),))
+            opened[i] = (r, ())
+            state[i - 1], state[i] = b, a
+            below[i] ^= 1 << a | 1 << b
+            prefix.append(i)
+            i = 1
+        elif prefix:
+            i = prefix.pop()
+            faults, opened[i - 1], opened[i], opened[i + 1], changes = frames.pop()
+            for j, x, w in reversed(changes):
+                acc[j], weight[j] = x, w
+            a, b = state[i - 1], state[i]
+            state[i - 1], state[i] = b, a
+            below[i] ^= 1 << a | 1 << b
+            i += 1
+        else:
+            return
+
+
+def memo_walk(n, depth=0, share=0, shares=1):
+    """(words, states expanded, uncertified words) of ``spanning._walk``."""
+    uncertified = []
+    count, expanded = spanning._walk(n, uncertified.append, depth, share, shares)
+    return count, expanded, uncertified
+
+
 def certify_no_leaf(monkeypatch):
     """Make the prefix tree certify no word, so that an exhaustive
     ``verify_all`` checks every word on its own (``_verdicts``), through
     the per-word layers that a defect may be planted in."""
-    real = spanning._walk
 
-    def walk(*args):
-        return ((word, False) for word, _ in real(*args))
+    def walk(n, uncertified, depth=0, share=0, shares=1):
+        count = 0
+        for count, (word, _) in enumerate(plain_walk(n, depth, share, shares), 1):
+            uncertified(word)
+        return count, None
 
     monkeypatch.setattr(spanning, "_walk", walk)
 
@@ -534,7 +622,7 @@ class TestVerifyAll:
         # share 0 is the parent's, share 1 a child's: the first word of each
         depth, shares = spanning._prefix_split(3, 2)
         assert shares == 2
-        target, _ = next(spanning._walk(3, depth, share, shares))
+        target, _ = next(plain_walk(3, depth, share, shares))
         certify_no_leaf(monkeypatch)
         real = wiring.build_wiring
 
@@ -616,13 +704,24 @@ class TestVerifyAll:
 
 
 class TestWalk:
-    """The exhaustive path: ``_walk`` certifies along the prefix tree."""
+    """The exhaustive path: ``_walk`` certifies along the prefix tree, and
+    merges equal frontiers; ``plain_walk`` is its reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_yields_every_word_in_order_certified(self, n):
-        walked = list(spanning._walk(n))
+        walked = list(plain_walk(n))
         assert [w for w, _ in walked] == list(enumerate_reduced_words(n))
         assert all(certified for _, certified in walked)
+        count, _, uncertified = memo_walk(n)
+        assert (count, uncertified) == (len(walked), [])
+
+    def test_certifies_every_word_from_few_states(self):
+        for n in range(1, 6):
+            count, expanded, uncertified = memo_walk(n)
+            assert (count, uncertified) == (staircase_tableaux_count(n), [])
+        # the plain walk expands 802402 nodes at n = 5; a clean condition
+        # that let uncrossed lanes in would be false at almost all of them
+        assert count == 292864 and expanded < 10_000, expanded
 
     def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
         calls = []
@@ -636,25 +735,62 @@ class TestWalk:
         report = verify_all(4)
         assert (report.checked, report.mismatches, calls) == (768, [], [])
 
+    def test_certify_no_leaf_checks_every_word_on_its_own(self, monkeypatch):
+        checked = []
+        real = spanning._verdicts
+
+        def spy(word, passing):
+            checked.append(word)
+            return real(word, passing)
+
+        monkeypatch.setattr(spanning, "_verdicts", spy)
+        certify_no_leaf(monkeypatch)
+        report = verify_all(4)
+        assert (report.checked, report.mismatches) == (768, [])
+        assert checked == list(enumerate_reduced_words(4))
+
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_agrees_with_certify_inverse_under_a_planted_defect(self, monkeypatch, held, missing):
         # +1 in lane 0 of the columns of the sets that hold one string but
-        # not another: the tree and the per-word certificate accept the
-        # same words
+        # not another: the memo, the reference walker and the per-word
+        # certificate accept the same words
         real = spanning._packed_column
 
         def planted(table, members):
             return real(table, members) + (held in members and missing not in members)
 
         monkeypatch.setattr(spanning, "_packed_column", planted)
-        width, accepted = spanning.rank_table(4).width, 0
-        for word, certified in spanning._walk(4):
-            chamber_list = wiring.chambers(wiring.build_wiring(word))
-            rows = cone.root_rows(4, chamber_list)
-            packed = spanning.formula_vectors(4, chamber_list)
-            assert certified == cone.certify_inverse(rows, packed, width), word.letters
-            accepted += certified
-        assert 0 < accepted < 768
+        for n in range(1, 5):
+            width, rejected = spanning.rank_table(n).width, []
+            for word, certified in plain_walk(n):
+                chamber_list = wiring.chambers(wiring.build_wiring(word))
+                rows = cone.root_rows(n, chamber_list)
+                packed = spanning.formula_vectors(n, chamber_list)
+                assert certified == cone.certify_inverse(rows, packed, width), word.letters
+                if not certified:
+                    rejected.append(word)
+            count, _, uncertified = memo_walk(n)
+            assert (count, uncertified) == (staircase_tableaux_count(n), rejected)
+        assert 0 < len(rejected) < 768
+
+    def test_key_names_the_frontier(self):
+        # levels 1 and 3 name the lanes 0, 2 and 1; lane 3 is unnamed
+        state, opened = [2, 1, 3, 4], [b"", bytes([0, 2]), b"", bytes([1]), b""]
+        unit = [1 << 8 * j for j in range(4)]
+        acc, weight = [unit[0], 5, unit[2], -7], [3, 1, 2, 9]
+        key, dirty = spanning._frontier(state, opened, acc, weight, unit, 6)
+        assert isinstance(key, bytes) and dirty == 1  # lane 1's acc
+        for j, named in [(0, True), (1, True), (2, True), (3, False)]:
+            for values in (acc, weight):
+                values[j] += 1
+                other, _ = spanning._frontier(state, opened, acc, weight, unit, 6)
+                assert (other != key) == named, (j, values is acc)
+                values[j] -= 1
+        for other in ([1, 2, 3, 4], [b"", bytes([0]), bytes([2]), bytes([1]), b""]):
+            moved = (other, opened) if isinstance(other[0], int) else (state, other)
+            assert spanning._frontier(*moved, acc, weight, unit, 6)[0] != key
+        weight[2] = 8
+        assert spanning._frontier(state, opened, acc, weight, unit, 6)[1] == 2
 
     def test_raising_column_names_the_first_word_below(self, monkeypatch):
         # a chamber set whose column raises leaves the words below it
@@ -667,13 +803,12 @@ class TestWalk:
             return real(table, members)
 
         monkeypatch.setattr(spanning, "_packed_column", column)
-        holds = {
-            w: bad in {c.chamber_set for c in wiring.chambers(wiring.build_wiring(w))}
-            for w in enumerate_reduced_words(3)
-        }
-        assert {w: not certified for w, certified in spanning._walk(3)} == holds
-        first = next(w for w, held in holds.items() if held)
-        message = rf"^word {re.escape(str(first.letters))}: ValueError: chamber \(\d+, \d+\): "
+        holds = [
+            w for w in enumerate_reduced_words(3)
+            if bad in {c.chamber_set for c in wiring.chambers(wiring.build_wiring(w))}
+        ]
+        assert memo_walk(3)[2] == holds == [w for w, certified in plain_walk(3) if not certified]
+        message = rf"^word {re.escape(str(holds[0].letters))}: ValueError: chamber \(\d+, \d+\): "
         with pytest.raises(ValueError, match=message + "planted failure"):
             verify_all(3)
 
@@ -686,9 +821,32 @@ class TestWalk:
         assert nodes >= 8 * jobs or depth == len(every[0])
         assert depth == 0 or len({letters[: depth - 1] for letters in every}) < 8 * jobs
         assert shares == min(jobs, nodes)
-        parts = [[w.letters for w, _ in spanning._walk(n, depth, i, shares)] for i in range(shares)]
+        parts = [[w.letters for w, _ in plain_walk(n, depth, i, shares)] for i in range(shares)]
         assert all(parts)
         assert sorted(itertools.chain.from_iterable(parts)) == every
+        assert [memo_walk(n, depth, i, shares)[0] for i in range(shares)] == list(map(len, parts))
+
+    def test_memo_is_released_after_each_call(self):
+        # a memo kept alive past its call (a reference cycle, a cache) would
+        # raise the peak RSS of a process that calls verify_all often.  The
+        # child reads the peak of its own address space (VmHWM): its
+        # ru_maxrss starts at the peak of the process that started it.
+        script = (
+            "from lusztig_cones.spanning import verify_all\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(x.split()[1]) for x in status if x.startswith('VmHWM:'))\n"
+            "verify_all(4)\n"
+            "before = peak()\n"
+            "for _ in range(300):\n"
+            "    assert verify_all(4).checked == 768\n"
+            "print(peak() - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spanning.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(out.stdout) < 2048, f"peak RSS rose {out.stdout.strip()} kB"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_and_columns_are_constant_on_a_commutation_class(self, n):
