@@ -16,18 +16,21 @@ root (p, q) iff its points a-1 and b of the chamber set's boundary ∂S
 (``wiring.chamber_boundary``) both lie in [p, q-1].  With N points of ∂S
 there, the weight is max(N-1, 0), whose rounded-up half is ⌊N/2⌋; so a
 chamber's column is the sum of v_simple(t) over t in ∂S, then one shift
-and one mask, in every lane at once.  The certificate takes them packed:
-a word that passes in ``verify_all`` builds no vector, label or verdict.
+and one mask, in every lane at once (``_packed_column``, which reads ∂S
+off the bit mask of S).
 
-Exhaustive runs certify along the prefix tree of reduced words
-(``_walk``).  In root coordinates a chamber's row and its column are fixed
-once its right crossing is placed, so they enter the column sums acc_j of
-V·M once, at the tree node where the chamber closes, and every word below
-shares them.  A word is certified at its leaf when every acc_j is the
-unit 1 << width·j, every chamber column passes ``RankTable.mask`` (each
-entry below 2^b, b = width - 4) and no column of M weighs more than 7.
-Then every digit of V·M - I is below 2^(width-1) in absolute value, and
+``verify_all`` certifies with one step per letter (``_Sweep``).  In root
+coordinates a chamber's row and its column are fixed once its right
+crossing is placed, so the step adds them to the column sums acc_j of
+V·M there, once.  A word is certified when every acc_j is the unit
+1 << width·j, every chamber column passes ``RankTable.mask`` (each entry
+below 2^b, b = width - 4) and no column of M weighs more than 7.  Then
+every digit of V·M - I is below 2^(width-1) in absolute value, and
 acc_j = unit for every j proves V·M = I, as in ``cone.certify_inverse``.
+A sampled word takes the step along its letters (``_certified``); an
+exhaustive run takes it along the prefix tree of reduced words
+(``_walk``), where every word below a node shares the chambers closed
+above it.  A certified word builds no diagram, vector, label or verdict.
 Equal frontiers share one subtree.  Below a node the walk reads only the
 strings, the lanes of the chamber open at each level, their acc_j and
 w_j, and whether every other crossed lane is clean and every closed
@@ -36,8 +39,9 @@ again once crossed, and an uncrossed lane's sums are fixed by the
 strings.  So the subtree of a clean node is a function of those bytes
 (``_frontier``), and a per-call memo from them to the number of words
 below, all certified, walks each clean subtree once: all 1100742656
-words at n = 6 in seconds.  Any other word is checked on its own, as a
-sampled word is.
+words at n = 6 in seconds.  A word that the step does not certify, in
+either mode, is checked on its own (``_verdicts``), which names the
+failing labels or raises.
 """
 
 from __future__ import annotations
@@ -64,25 +68,47 @@ from .words import (
 class RankTable:
     """Packed integer vectors of rank n: one lane of ``width`` bits per
     positive root, in the order of ``all_positive_roots(n)``
-    (``cone.pack``).
+    (``cone.pack``), and the root of the certificate's sweep (``_Sweep``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
     p <= j < q, and ``mask`` holds 2^(width-4) - 1 in every lane.  Entries
     reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row, two
     chambers ending at its crossing, two around it), so with ⌊n/2⌋·2^3 <
     2^(width-1) the mask of ``cone.certify_inverse`` passes every column,
-    and so does ``mask``, the mask of the prefix-tree certificate
-    (``_walk``), whose column weights stop at 7.
+    and so does ``mask``, the mask of the sweep's certificate, whose column
+    weights stop at 7.
+
+    ``lane[p][q]`` is the lane of the root (p, q), ``unit[j]`` is
+    1 << width·j, and ``lanes[j]`` is lane j as a one-element sequence:
+    bytes while every lane is below 255, the separator of the walk's keys
+    (``_frontier``), else a tuple.  At the sweep's root the simple rows and
+    columns are in: ``acc`` and ``weight`` hold the column sums and
+    weights of V·M, ``faults`` the simple columns that fail ``mask``, and
+    ``below[i]`` the strings under level i, as a bit mask.
     """
 
     def __init__(self, n: int):
         roots = all_positive_roots(n)
-        self.n, self.k = n, len(roots)
+        k = len(roots)
+        self.n, self.k = n, k
         self.width = width = cone.lane_width(n // 2 << 3)
-        self.mask = cone.pack([(1 << width - 4) - 1] * self.k, width)
+        self.mask = mask = cone.pack([(1 << width - 4) - 1] * k, width)
         self.simple = tuple(
             cone.pack([int(p <= j < q) for p, q in roots], width) for j in range(1, n + 1)
         )
+        lane = [[0] * (n + 2) for _ in range(n + 2)]
+        for j, (p, q) in enumerate(roots):
+            lane[p][q] = j
+        self.lane = tuple(map(tuple, lane))
+        self.unit = tuple(1 << width * j for j in range(k))
+        self.lanes = tuple(bytes((j,)) if k <= 255 else (j,) for j in range(k))
+        acc, weight = [0] * k, [0] * k
+        for j, column in enumerate(self.simple, 1):
+            acc[lane[j][j + 1]] += column
+            weight[lane[j][j + 1]] += 1
+        self.acc, self.weight = tuple(acc), tuple(weight)
+        self.faults = sum(c & ~mask != 0 for c in self.simple)
+        self.below = tuple((1 << n + 2) - (2 << i) for i in range(n + 1))
 
     def vector(self, x: int) -> RootVector:
         """The root vector whose lanes ``x`` packs."""
@@ -119,18 +145,39 @@ def weight_vector(P: PartialQuiver) -> RootVector:
     return table.vector(sum(simple[Y.a - 2] & simple[Y.b - 1] for Y in pquiver.components(P)))
 
 
-def _packed_column(table: RankTable, members) -> int:
-    total = sum(table.simple[t - 1] for t in wiring.chamber_boundary(members, table.n))
+def _strings_mask(members, n: int) -> int:
+    """A set of strings as a bit mask, string s at bit s.  A string outside
+    [1, n+1] raises the ValueError of ``wiring.chamber_boundary``."""
+    s = frozenset(members)
+    if not s.issubset(range(1, n + 2)):
+        wiring.chamber_boundary(s, n)
+    return sum(1 << x for x in s)
+
+
+def _packed_column(table: RankTable, members: int) -> int:
+    """The column of the chamber set whose strings are the set bits of
+    ``members``: the sum of v_simple(t) over its boundary points t, the set
+    bits of members ^ members >> 1 in [1, n], shifted right by one bit, and
+    the bit each lane got from the next cleared.  A set that is not a
+    chamber set raises the ValueError of ``wiring.chamber_boundary``."""
+    n = table.n
+    points = (members ^ members >> 1) & (2 << n) - 2
+    if points & points - 1 == 0 or members & 1 or members >> n + 2:
+        wiring.chamber_boundary({s for s in range(members.bit_length()) if members >> s & 1}, n)
+    simple, total = table.simple, 0
+    while points:
+        point = points & -points
+        total += simple[point.bit_length() - 2]
+        points ^= point
     return total >> 1 & table.mask
 
 
 def chamber_column(members, n: int) -> RootVector:
     """Entrywise ceiling of half the weight vector of the components of a
     chamber set, as the floor of half the sum of v_simple(t) over its
-    boundary points t: shift the packed sum right by one bit and clear the
-    bit each lane got from the next."""
+    boundary points t (``_packed_column``)."""
     table = rank_table(n)
-    return table.vector(_packed_column(table, members))
+    return table.vector(_packed_column(table, _strings_mask(members, n)))
 
 
 def v_partial_quiver(P: PartialQuiver) -> RootVector:
@@ -146,7 +193,7 @@ def formula_vectors(n: int, chamber_list) -> list[int]:
     columns = list(table.simple)
     for c in chamber_list:
         try:
-            columns.append(_packed_column(table, c.chamber_set))
+            columns.append(_packed_column(table, _strings_mask(c.chamber_set, n)))
         except ValueError as exc:
             raise ValueError(f"chamber ({c.left_pos}, {c.right_pos}): {exc}") from exc
     return columns
@@ -266,15 +313,115 @@ def _frontier(state, opened, acc, weight, unit, size: int) -> tuple[bytes, int]:
     frontiers; a value too large for its bytes raises, and so does a rank
     with more than 255 positive roots (n > 21)."""
     lanes = dict.fromkeys(b"".join(opened))
+    parts = [bytes(state), b"\xff".join(opened), bytes([weight[j] for j in lanes])]
     dirty = 0
     for j in lanes:
-        dirty += (acc[j] != unit[j]) + (weight[j] > 7)
-    return b"".join([
-        bytes(state),
-        b"\xff".join(opened),
-        bytes([weight[j] for j in lanes]),
-        *[acc[j].to_bytes(size, "little", signed=True) for j in lanes],
-    ]), dirty
+        x = acc[j]
+        dirty += (x != unit[j]) + (weight[j] > 7)
+        parts.append(x.to_bytes(size, "little", signed=True))
+    return b"".join(parts), dirty
+
+
+class _Sweep:
+    """A word's wiring trace, letter by letter, with the counters of the
+    certificate: the one step that ``_walk`` takes at each node of the
+    prefix tree and ``_certified`` takes along a single word.
+
+    ``push(i)`` swaps the strings at levels i and i+1, whose crossing is
+    the root of lane r, and closes the chamber open at level i, if one is:
+    its row (-1 at its left and right crossings, +1 at the crossings one
+    level up or down in between, as in ``cone.root_rows``) and its column
+    (``_packed_column`` of ``below[i]``, the strings under level i, as in
+    ``formula_vectors``, memoised per chamber set) are fixed there.  For
+    each (j, a) of the row it adds a·column to acc_j, the running column j
+    of V·M, and |a| = 1 to the column weight w_j.  ``opened[i]`` holds the
+    lanes of the chamber open at level i: its left crossing, then the
+    crossings at levels i-1 and i+1 since.  ``faults`` counts the crossed
+    lanes j with acc_j != 1 << width·j, those with w_j > 7, and the closed
+    chambers whose column is illegal or fails ``RankTable.mask``.  The
+    simple rows and columns are in from the root (``RankTable``).  ``push``
+    returns the frame with which ``pop(i, frame)`` undoes it.
+
+    Once every letter of a reduced word of w0 is in, every lane is crossed
+    and every chamber closed, so the rows and columns are the word's, and
+    the word is certified iff ``faults`` is 0.  A chamber whose
+    ``_packed_column`` raises leaves the word uncertified: its per-word
+    check raises the error.
+
+    Soundness, as in ``cone.certify_inverse`` with b = width - 4:
+    ``RankTable.mask`` admits only entries in [0, 2^b), and w_j <= 7, so
+    each digit (V·M)[i][j] of acc_j is at most 7·(2^b - 1) < 2^(width-1)
+    in absolute value.  If acc_j is the unit, the digits of V·M - I, each
+    below 2^width in absolute value, sum to zero with the weights
+    2^(width·i); the lowest nonzero one would be a multiple of 2^width, so
+    none is and V·M = I, which proves V = M^-1 for the square integer M.
+    The weights are counted, not read off the shape of the rows, so the
+    proof holds whatever the rows are.
+    """
+
+    __slots__ = ("table", "state", "below", "opened", "acc", "weight", "faults", "columns")
+
+    def __init__(self, table: RankTable):
+        self.table = table
+        self.state = list(range(1, table.n + 2))  # the strings, top to bottom
+        self.below = list(table.below)
+        self.opened = [table.lanes[0][:0]] * (table.n + 2)  # level i -> its open chamber's lanes
+        self.acc, self.weight, self.faults = list(table.acc), list(table.weight), table.faults
+        self.columns = {}  # chamber set, as a bit mask of strings -> its column, None if it raised
+
+    def push(self, i: int) -> tuple:
+        table, state, opened, below = self.table, self.state, self.opened, self.below
+        acc, weight, unit = self.acc, self.weight, table.unit
+        a, b = state[i - 1], state[i]
+        r, up, left, down = table.lane[a][b], opened[i - 1], opened[i], opened[i + 1]
+        changes = []
+        frame = (self.faults, up, left, down, changes)
+        faults = self.faults + (acc[r] != unit[r]) + (weight[r] > 7)  # r is crossed now
+        if left:
+            members, columns = below[i], self.columns
+            if members not in columns:
+                try:
+                    columns[members] = _packed_column(table, members)
+                except Exception:  # raised again, naming the word, by its own check
+                    columns[members] = None
+            column = columns[members]
+            if column is None or column & ~table.mask:
+                faults += 1
+                column = 0
+            for j, d in ((left[0], -column), (r, -column), *[(j, column) for j in left[1:]]):
+                x, w = acc[j], weight[j]
+                changes.append((j, x, w))
+                acc[j] = y = x + d
+                weight[j] = w + 1
+                faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
+        crossing = table.lanes[r]
+        if up:
+            opened[i - 1] = up + crossing
+        if down:
+            opened[i + 1] = down + crossing
+        opened[i] = crossing
+        state[i - 1], state[i] = b, a
+        below[i] ^= 1 << a | 1 << b
+        self.faults = faults
+        return frame
+
+    def pop(self, i: int, frame: tuple) -> None:
+        state, opened, acc, weight = self.state, self.opened, self.acc, self.weight
+        self.faults, opened[i - 1], opened[i], opened[i + 1], changes = frame
+        for j, x, w in reversed(changes):
+            acc[j], weight[j] = x, w
+        a, b = state[i - 1], state[i]
+        state[i - 1], state[i] = b, a
+        self.below[i] ^= 1 << a | 1 << b
+
+
+def _certified(word: ReducedWord) -> bool:
+    """Whether the sweep along the letters of ``word`` certifies it
+    (``_Sweep``): no diagram, chamber, row, vector or verdict is built."""
+    sweep = _Sweep(rank_table(word.n))
+    for i in word.letters:
+        sweep.push(i)
+    return not sweep.faults
 
 
 def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
@@ -284,24 +431,10 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
     the subtrees under the prefixes of length ``depth`` whose rank in that
     order is ``share`` modulo ``shares`` are walked.
 
-    Depth first over reduced prefixes, one swap of the trace per node.  A
-    letter i crosses the root of lane r and closes the chamber open at
-    level i, if one is: its row (-1 at its left and right crossings, +1 at
-    the crossings one level up or down in between, as in
-    ``cone.root_rows``) and its column (``_packed_column`` of the strings
-    below level i, as in ``formula_vectors``, memoised per chamber set)
-    are fixed there, and every word below shares them.  ``opened[i]``
-    holds the lanes of the chamber open at level i: its left crossing,
-    then the crossings at levels i-1 and i+1 since.  For each (j, a) of
-    the row the node adds a·column to acc_j, the running column j of V·M,
-    and |a| = 1 to the column weight w_j; backtracking restores both.  The
-    simple rows and columns enter once, at the root.  ``faults`` counts the
-    crossed lanes j with acc_j != 1 << width·j, those with w_j > 7, and
-    the closed chambers whose column is illegal or fails the mask.  At a
-    leaf every lane is crossed and every chamber closed, so the rows and
-    columns are the word's, and the word is certified iff ``faults`` is 0.
-    A chamber whose ``_packed_column`` raises leaves the words below it
-    uncertified: their per-word check raises the error.
+    Depth first over reduced prefixes, one step of the sweep per node
+    (``_Sweep``): a chamber's row and column are fixed where it closes,
+    and every word below shares them.  Backtracking undoes the step.  At a
+    leaf the word is certified iff ``faults`` is 0.
 
     Equal frontiers share one subtree: the transfer-matrix method
     (Stanley, *Enumerative Combinatorics I*, §4.7) on the frontier of the
@@ -322,38 +455,16 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
     below it, and no uncertified word is skipped.  Above ``depth`` the
     subtrees depend on the share, and no key is made.  The memo lives for
     one call.
-
-    Soundness, as in ``cone.certify_inverse`` with b = width - 4:
-    ``RankTable.mask`` admits only entries in [0, 2^b), and w_j <= 7, so
-    each digit (V·M)[i][j] of acc_j is at most 7·(2^b - 1) < 2^(width-1)
-    in absolute value.  If acc_j is the unit, the digits of V·M - I, each
-    below 2^width in absolute value, sum to zero with the weights
-    2^(width·i); the lowest nonzero one would be a multiple of 2^width, so
-    none is and V·M = I, which proves V = M^-1 for the square integer M.
-    The weights are counted, not read off the shape of the rows, so the
-    proof holds whatever the rows are.
     """
     if depth == 0 and share:  # the root has rank 0: share 0 holds every word
         return 0, 0
     table = rank_table(n)
-    k, width, mask = table.k, table.width, table.mask
-    unit = [1 << width * j for j in range(k)]
+    k, unit = table.k, table.unit
     # an acc_j sums at most k + 1 values below 2^(k·width), so with its sign
     # it fits k·width + 9 bits
-    size = (k * width + 16) // 8
-    lane = [[0] * (n + 2) for _ in range(n + 2)]  # lane[p][q]: the root (p, q)
-    for i, (p, q) in enumerate(all_positive_roots(n)):
-        lane[p][q] = i
-    acc, weight = [0] * k, [0] * k
-    for j, column in enumerate(table.simple, 1):
-        acc[lane[j][j + 1]] += column
-        weight[lane[j][j + 1]] += 1
-    faults = sum(c & ~mask != 0 for c in table.simple)
-    columns = {}  # chamber set, as a bit mask of strings -> its column, None if it raised
-    state = list(range(1, n + 2))  # the strings, top to bottom
-    below = [sum(1 << s for s in state[i:]) for i in range(n + 1)]  # strings under level i
-    crossing = [bytes((j,)) for j in range(k)]  # a lane as one byte
-    opened = [b""] * (n + 2)  # level i -> the lanes of its open chamber, as bytes
+    size = (k * table.width + 16) // 8
+    sweep = _Sweep(table)
+    state, opened, acc, weight = sweep.state, sweep.opened, sweep.acc, sweep.weight
     memo = {}  # key of a clean node -> its words, all certified
     prefix, frames, seen, i = [], [], 0, 1
     words, failed, expanded = 0, 0, 1
@@ -361,66 +472,32 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
         while i <= n and state[i - 1] > state[i]:
             i += 1
         if i <= n:
-            a, b = state[i - 1], state[i]
-            r, up, left, down = lane[a][b], opened[i - 1], opened[i], opened[i + 1]
-            entered, changes = faults, []
-            faults += (acc[r] != unit[r]) + (weight[r] > 7)  # r is crossed now
-            if left:
-                members = below[i]
-                if members not in columns:
-                    chamber_set = frozenset(s for s in range(1, n + 2) if members >> s & 1)
-                    try:
-                        columns[members] = _packed_column(table, chamber_set)
-                    except Exception:  # raised again, naming the word, below
-                        columns[members] = None
-                column = columns[members]
-                if column is None or column & ~mask:
-                    faults += 1
-                    column = 0
-                for j, c in ((left[0], -1), (r, -1), *((j, 1) for j in left[1:])):
-                    x, w = acc[j], weight[j]
-                    changes.append((j, x, w))
-                    acc[j] = y = x + c * column
-                    weight[j] = w + 1
-                    faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
-            if up:
-                opened[i - 1] = up + crossing[r]
-            if down:
-                opened[i + 1] = down + crossing[r]
-            opened[i] = crossing[r]
-            state[i - 1], state[i] = b, a
-            below[i] ^= 1 << a | 1 << b
+            step = sweep.push(i)
             prefix.append(i)
             key, i, length = None, 1, len(prefix)
             if length == depth and seen % shares != share:  # another share's subtree
                 i = n + 1
             elif length == k:
                 words += 1
-                if faults:
+                if sweep.faults:
                     failed += 1
                     uncertified(_reduced_by_construction(n, tuple(prefix)))
             elif length >= depth:
                 key, dirty = _frontier(state, opened, acc, weight, unit, size)
-                if dirty != faults:
+                if dirty != sweep.faults:
                     key = None
                 elif key in memo:
                     words += memo[key]
                     key, i = None, n + 1
             seen += length == depth
             expanded += i == 1 and length < k
-            frames.append((entered, up, left, down, changes, key, words, failed))
+            frames.append((step, key, words, failed))
         elif prefix:
             i = prefix.pop()
-            faults, opened[i - 1], opened[i], opened[i + 1], changes, key, before, failed_before = (
-                frames.pop()
-            )
+            step, key, before, failed_before = frames.pop()
             if key is not None and failed == failed_before:
                 memo[key] = words - before
-            for j, x, w in reversed(changes):
-                acc[j], weight[j] = x, w
-            a, b = state[i - 1], state[i]
-            state[i - 1], state[i] = b, a
-            below[i] ^= 1 << a | 1 << b
+            sweep.pop(i, step)
             i += 1
         else:
             return words, expanded
@@ -461,11 +538,11 @@ def _check_word(word: ReducedWord, key, mismatches: list) -> None:
 
 def _check_share(n: int, mode: str, count: int, seed: int, depth: int, share: int, shares: int):
     """Check one share of the run: (words checked, [(sort key, mismatch
-    record), ...]).  Exhaustive, the share is walked (``_walk``) and only an
-    uncertified word is checked on its own; its key is its letters.
-    Sampled, the share is the words share, share+shares, ..., each drawn
-    here and checked on its own; the key is its index.  A certified word
-    builds nothing."""
+    record), ...]).  Exhaustive, the share is walked (``_walk``); the key
+    is a word's letters.  Sampled, the share is the words share,
+    share+shares, ..., each drawn here and swept along its letters
+    (``_certified``); the key is its index.  Only a word the step does not
+    certify is checked on its own (``_check_word``)."""
     mismatches = []
     if mode == "exhaustive":
         checked, _ = _walk(
@@ -474,7 +551,9 @@ def _check_share(n: int, mode: str, count: int, seed: int, depth: int, share: in
     else:
         indices = range(share, count, shares)
         for t in indices:
-            _check_word(random_word(n, seed, t), t, mismatches)
+            word = random_word(n, seed, t)
+            if not _certified(word):
+                _check_word(word, t, mismatches)
         checked = len(indices)
     return checked, mismatches
 
@@ -512,15 +591,20 @@ def verify_all(
     seed: int = 0,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Run verify_theorem over many words and aggregate mismatches.  An
-    error raised on a word is re-raised as a ValueError naming its letters.
+    """Check the theorem on every reduced word of w0 (``mode`` "exhaustive")
+    or on ``count`` words drawn uniformly (``mode`` "sample"), and
+    aggregate the mismatches.  Each word is certified by the sweep
+    (``_Sweep``); a word it does not certify is checked on its own, as in
+    ``verify_theorem``, and an error raised on it is re-raised as a
+    ValueError naming its letters.
 
     The run is split into shares, one per process, with J = min(jobs,
     cores) processes at most.  Exhaustive, the tree of reduced prefixes is
     split at the least depth d with 8·J nodes or more (``_prefix_split``):
     share i walks the subtrees under the depth-d prefixes of rank i modulo
     the number of shares, and certifies along them (``_walk``).  Sampled,
-    share i of s holds the words i, i+s, i+2s, ... (``random_word``).  The
+    share i of s holds the words i, i+s, i+2s, ... (``random_word``), each
+    swept on its own (``_certified``).  The
     parent checks share 0 and starts one process per other share, which
     checks its own words and sends back only its count and mismatch
     records; the records are merged in word order (by letters when

@@ -10,7 +10,7 @@ import re
 
 import pytest
 from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, TOP_BIT_COLUMNS, TOP_BIT_ROWS, packed
-from test_spanning import certify_no_leaf, chi_square, plant_chamber_columns
+from test_spanning import certify_no_leaf, chi_square, merge, plant_chamber_columns
 from test_wiring import legality_disagreements
 
 from lusztig_cones import cone, spanning, wiring
@@ -283,14 +283,6 @@ def guard_off_diagonal(monkeypatch, n):
         assert label == ChamberLabel(last.left_pos, last.right_pos)
         assert got == spanning_set(word).vector(label) != expected
     assert len(report.mismatches) == report.checked
-
-
-def merge(row, extra):
-    """Sparse row plus the (index, coefficient) pairs of ``extra``."""
-    total = dict(row)
-    for i, a in extra:
-        total[i] = total.get(i, 0) + a
-    return tuple((i, a) for i, a in total.items() if a)
 
 
 def assert_raises_naming_the_word(monkeypatch, n, message):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import json
@@ -70,6 +71,27 @@ def rounded_half_weights(n):
     """Every partial quiver of rank n with the paper's column: the
     rounded-up half of its reference weight."""
     return [(P, tuple(-(-x // 2) for x in indicator_weight(P))) for P in all_partial_quivers(n)]
+
+
+def boundary_column(members, n):
+    """(column, None) of the chamber set with bit mask ``members`` by its
+    boundary list: the packed sum of v_simple(t) over
+    ``wiring.chamber_boundary``, shifted right by one bit and masked; or
+    (None, message) if ``chamber_boundary`` raises."""
+    table = spanning.rank_table(n)
+    try:
+        boundary = wiring.chamber_boundary(strings_of(members), n)
+    except ValueError as exc:
+        return None, str(exc)
+    return sum(table.simple[t - 1] for t in boundary) >> 1 & table.mask, None
+
+
+def mask_column(members, n):
+    """(column, None) by ``spanning._packed_column``, or (None, message)."""
+    try:
+        return spanning._packed_column(spanning.rank_table(n), members), None
+    except ValueError as exc:
+        return None, str(exc)
 
 
 class TestFormulas:
@@ -162,6 +184,34 @@ class TestFormulas:
         assert cone.unpack(table.mask, table.k, table.width) == (2**b - 1,) * table.k
         assert 7 * (2**b - 1) < 2 ** (table.width - 1) and n // 2 < 2**b
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_mask_column_on_every_mask(self, n):
+        # every set of strings in [0, n+2], legal or not, as a bit mask and
+        # as a set
+        table = spanning.rank_table(n)
+        for members in range(1 << n + 3):
+            expected = boundary_column(members, n)
+            assert mask_column(members, n) == expected, members
+            column, message = expected
+            try:
+                got = spanning.chamber_column(strings_of(members), n), None
+            except ValueError as exc:
+                got = None, str(exc)
+            assert got == (None if column is None else table.vector(column), message), members
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mask_column_on_drawn_masks(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        members = data.draw(
+            st.one_of(
+                st.integers(0, (1 << n + 3) - 1),  # strings 0 and n+2 may be in
+                st.integers(1, (1 << n + 1) - 1).map(lambda m: m << 1),  # in [1, n+1]
+            ),
+            label="members",
+        )
+        assert mask_column(members, n) == boundary_column(members, n)
+
     def test_half_rank_entry_needs_wider_lanes(self):
         # the BFZ word of the alternating quiver at n = 34 has a column
         # entry 17 = n // 2, past the 16 that 8-bit lanes admit
@@ -184,13 +234,24 @@ def bareiss_vectors(word):
     return [span.vector(label) for label in span.matrix.labels]
 
 
+def strings_of(members):
+    """The set of strings whose bit mask is ``members`` (string s at bit s),
+    as ``spanning._packed_column`` takes a chamber set."""
+    return frozenset(s for s in range(members.bit_length()) if members >> s & 1)
+
+
+def mask_of(strings):
+    """The bit mask of a set of strings; inverse of ``strings_of``."""
+    return sum(1 << s for s in set(strings))
+
+
 def plant_chamber_columns(monkeypatch, planted):
-    """Make ``_packed_column``, which the prefix tree and ``formula_vectors``
+    """Make ``_packed_column``, which the sweep and ``formula_vectors``
     share, give ``planted(members, n)``, a RootVector, packed as the column
-    of each chamber set."""
+    of each chamber set ``members``."""
 
     def planted_column(table, members):
-        return cone.pack(planted(members, table.n).values, table.width)
+        return cone.pack(planted(strings_of(members), table.n).values, table.width)
 
     monkeypatch.setattr(spanning, "_packed_column", planted_column)
 
@@ -202,7 +263,7 @@ def corrupt(monkeypatch, target):
 
     def bad(members, n):
         table = spanning.rank_table(n)
-        v = table.vector(good(table, members))
+        v = table.vector(good(table, mask_of(members)))
         if members != target_set:
             return v
         return RootVector(v.n, (v.values[0] + 1,) + v.values[1:])
@@ -251,9 +312,8 @@ def plain_walk(n, depth=0, share=0, shares=1):
             if left is not None:
                 members = below[i]
                 if members not in columns:
-                    chamber_set = frozenset(s for s in range(1, n + 2) if members >> s & 1)
                     try:
-                        columns[members] = spanning._packed_column(table, chamber_set)
+                        columns[members] = spanning._packed_column(table, members)
                     except Exception:
                         columns[members] = None
                 column = columns[members]
@@ -295,10 +355,16 @@ def memo_walk(n, depth=0, share=0, shares=1):
     return count, expanded, uncertified
 
 
+# (n, mode, count, words checked) of runs that certify every word by the
+# sweep: along the prefix tree, and along each sampled word
+PASSING_RUNS = [(4, "exhaustive", 1, 768), (4, "sample", 50, 50), (7, "sample", 40, 40)]
+
+
 def certify_no_leaf(monkeypatch):
-    """Make the prefix tree certify no word, so that an exhaustive
-    ``verify_all`` checks every word on its own (``_verdicts``), through
-    the per-word layers that a defect may be planted in."""
+    """Make the prefix tree and the single-word sweep certify no word, so
+    that ``verify_all`` checks every word on its own (``_verdicts``), in
+    both modes, through the per-word layers that a defect may be planted
+    in."""
 
     def walk(n, uncertified, depth=0, share=0, shares=1):
         count = 0
@@ -307,6 +373,7 @@ def certify_no_leaf(monkeypatch):
         return count, None
 
     monkeypatch.setattr(spanning, "_walk", walk)
+    monkeypatch.setattr(spanning, "_certified", lambda word: False)
 
 
 class TestVerifyTheorem:
@@ -524,16 +591,20 @@ class TestVerifyAll:
             verify_all(5, **kwargs)
 
     def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
-        # the columns are read off the chamber sets' boundaries: one
-        # boundary scan per distinct chamber set, no component and no
-        # PartialQuiver
+        # the columns are read off the chamber sets' bit masks: one
+        # _packed_column call per distinct chamber set, no boundary list, no
+        # component and no PartialQuiver
         calls, scans = Counter(), Counter()
-        real_boundary, real_init = wiring.chamber_boundary, PartialQuiver.__post_init__
+        real_column, real_init = spanning._packed_column, PartialQuiver.__post_init__
+
+        def column(table, members):
+            calls["_packed_column"] += 1
+            scans[strings_of(members)] += 1
+            return real_column(table, members)
 
         def boundary(members, n):
             calls["chamber_boundary"] += 1
-            scans[frozenset(members)] += 1
-            return real_boundary(members, n)
+            raise AssertionError("a legal chamber set needs no boundary list")
 
         def components(members, n):
             calls["chamber_components"] += 1
@@ -543,6 +614,7 @@ class TestVerifyAll:
             calls["PartialQuiver"] += 1
             real_init(self)
 
+        monkeypatch.setattr(spanning, "_packed_column", column)
         monkeypatch.setattr(wiring, "chamber_boundary", boundary)
         monkeypatch.setattr(pquiver, "chamber_components", components)
         monkeypatch.setattr(PartialQuiver, "__post_init__", init)
@@ -555,7 +627,7 @@ class TestVerifyAll:
             for c in wiring.chambers(wiring.build_wiring(w))
         }
         assert set(scans) == every_set and set(scans.values()) == {1}
-        assert calls == {"chamber_boundary": len(every_set)}
+        assert calls == {"_packed_column": len(every_set)}
 
     def test_past_byte_lanes(self):
         # at n = 40, 8-bit lanes would no longer admit n // 2 = 20
@@ -564,6 +636,8 @@ class TestVerifyAll:
         assert (report.checked, report.mismatches) == (2, [])
 
     def test_passing_words_build_nothing_per_label(self, monkeypatch):
+        # neither mode traces a passing word into a diagram, nor builds a
+        # vector, label or verdict for it
         calls = Counter()
 
         def counted(cls):
@@ -575,12 +649,15 @@ class TestVerifyAll:
 
             monkeypatch.setattr(cls, "__init__", init)
 
-        for cls in (RootVector, spanning.LabelVerdict, ChamberLabel):
+        for cls in (RootVector, spanning.LabelVerdict, ChamberLabel, wiring.WiringDiagram):
             counted(cls)
         monkeypatch.setattr(cone, "unpack", lambda *args: calls.update(["unpack"]))
-        report = verify_all(4)
-        assert (report.checked, report.mismatches) == (768, [])
-        assert calls == {}
+        for module in (wiring, cone):
+            monkeypatch.setattr(module, "build_wiring", lambda word: calls.update(["build_wiring"]))
+        for n, mode, count, checked in PASSING_RUNS:
+            report = verify_all(n, mode=mode, count=count, seed=5)
+            assert (report.checked, report.mismatches) == (checked, [])
+            assert calls == {}, mode
 
     @pytest.mark.parametrize(
         "mode, count, calls", [("exhaustive", 1, 768), ("sample", 50, 50)]
@@ -732,8 +809,9 @@ class TestWalk:
             return real(*args)
 
         monkeypatch.setattr(spanning, "_verdicts", spy)
-        report = verify_all(4)
-        assert (report.checked, report.mismatches, calls) == (768, [], [])
+        for n, mode, count, checked in PASSING_RUNS:
+            report = verify_all(n, mode=mode, count=count, seed=5)
+            assert (report.checked, report.mismatches, calls) == (checked, [], []), mode
 
     def test_certify_no_leaf_checks_every_word_on_its_own(self, monkeypatch):
         checked = []
@@ -748,6 +826,10 @@ class TestWalk:
         report = verify_all(4)
         assert (report.checked, report.mismatches) == (768, [])
         assert checked == list(enumerate_reduced_words(4))
+        checked.clear()
+        report = verify_all(7, mode="sample", count=30, seed=2)
+        assert (report.checked, report.mismatches) == (30, [])
+        assert checked == random_words(7, 30, 2)
 
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_agrees_with_certify_inverse_under_a_planted_defect(self, monkeypatch, held, missing):
@@ -757,7 +839,8 @@ class TestWalk:
         real = spanning._packed_column
 
         def planted(table, members):
-            return real(table, members) + (held in members and missing not in members)
+            strings = strings_of(members)
+            return real(table, members) + (held in strings and missing not in strings)
 
         monkeypatch.setattr(spanning, "_packed_column", planted)
         for n in range(1, 5):
@@ -798,7 +881,7 @@ class TestWalk:
         real, bad = spanning._packed_column, frozenset({1, 3, 4})
 
         def column(table, members):
-            if members == bad:
+            if strings_of(members) == bad:
                 raise ValueError("planted failure")
             return real(table, members)
 
@@ -865,6 +948,130 @@ class TestWalk:
                 assert all(pairs(other) == pairs(word) for other in commutation_class)
         assert seen == set(enumerate_reduced_words(n))
 
+
+
+def merge(row, extra):
+    """Sparse row plus the (index, coefficient) pairs of ``extra``."""
+    total = dict(row)
+    for i, a in extra:
+        total[i] = total.get(i, 0) + a
+    return tuple((i, a) for i, a in total.items() if a)
+
+
+def certified_by_certify_inverse(word):
+    """Whether the per-word certificate accepts the word's closed-form
+    columns: ``cone.certify_inverse`` on its root rows."""
+    chamber_list = wiring.chambers(wiring.build_wiring(word))
+    rows = cone.root_rows(word.n, chamber_list)
+    packed = spanning.formula_vectors(word.n, chamber_list)
+    return cone.certify_inverse(rows, packed, spanning.rank_table(word.n).width)
+
+
+def with_root(monkeypatch, n, acc=(), weight=()):
+    """Make ``rank_table(n)`` a copy of the rank-n table whose sweep starts
+    from a root with the given (lane, value) changes to acc_j and w_j: the
+    simple rows of a planted matrix."""
+    real = spanning.rank_table
+    table = copy.copy(real(n))
+    table.acc, table.weight = list(table.acc), list(table.weight)
+    for j, x in acc:
+        table.acc[j] += x
+    for j, w in weight:
+        table.weight[j] += w
+    monkeypatch.setattr(spanning, "rank_table", lambda m: table if m == n else real(m))
+    return table
+
+
+class TestSweep:
+    """The one certificate step (``spanning._Sweep``), taken along a single
+    word (``_certified``), against the per-word certificate and the
+    reference walker.  CI runs these under ``python -O`` with ``-k sweep``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sweep_agrees_with_certify_inverse_and_the_walk_on_every_word(self, n):
+        walked = list(plain_walk(n))
+        assert [w for w, _ in walked] == list(enumerate_reduced_words(n))
+        for word, certified in walked:
+            assert spanning._certified(word) is certified is certified_by_certify_inverse(word)
+            assert certified
+
+    @pytest.mark.parametrize("n, count", [(7, 200), (12, 60)])
+    def test_sweep_agrees_with_certify_inverse_on_uniform_words(self, n, count):
+        for word in random_words(n, count, 11):
+            assert spanning._certified(word) is certified_by_certify_inverse(word) is True
+
+    @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
+    def test_sweep_agrees_under_a_planted_defect(self, monkeypatch, held, missing):
+        # the planted columns of TestWalk: the sweep, the per-word
+        # certificate and the reference walker accept the same words
+        real = spanning._packed_column
+
+        def planted(table, members):
+            strings = strings_of(members)
+            return real(table, members) + (held in strings and missing not in strings)
+
+        monkeypatch.setattr(spanning, "_packed_column", planted)
+        for n in range(1, 5):
+            rejected = 0
+            for word, certified in plain_walk(n):
+                assert spanning._certified(word) is certified, word.letters
+                assert certified_by_certify_inverse(word) is certified, word.letters
+                rejected += not certified
+        assert 0 < rejected < 768
+
+    def test_sweep_refuses_a_negative_column_whose_sums_are_the_unit(self, monkeypatch):
+        # M' adds the last chamber row to the row of simple root 1 (the
+        # sweep starts from the planted sums), and the last chamber's
+        # column is that of M'^-1, V_c - V_1, which is -1 at (1, 2).
+        # V'·M' = I, with every weight at most 7: a sweep whose mask let
+        # every bit through certifies the word, and only the mask rejects it
+        n, word = 3, FIG_WORD
+        chamber_list = wiring.chambers(wiring.build_wiring(word))
+        rows = cone.root_rows(n, chamber_list)
+        columns = spanning.formula_vectors(n, chamber_list)
+        negative = columns[-1] - columns[0]
+        planted = {mask_of(c.chamber_set): x for c, x in zip(chamber_list, columns[n:])}
+        planted[mask_of(chamber_list[-1].chamber_set)] = negative
+        planted_rows = (merge(rows[0], rows[-1]),) + rows[1:]
+        dense = [[dict(row).get(j, 0) for j in range(6)] for row in planted_rows]
+        _, inverse = cone.exact_inverse(dense)
+        assert sum(row[-1] << 8 * i for i, row in enumerate(inverse)) == negative
+        assert inverse[0][-1] == -1  # at (1, 2)
+        table = with_root(monkeypatch, n, acc=[(j, a * columns[0]) for j, a in rows[-1]],
+                          weight=[(j, 1) for j, _ in rows[-1]])
+        monkeypatch.setattr(spanning, "_packed_column", lambda t, m: planted[m])
+        assert not spanning._certified(word)
+        table.mask = -1
+        sweep = spanning._Sweep(table)
+        for i in word.letters:
+            sweep.push(i)
+        assert sweep.acc == list(table.unit) and max(sweep.weight) <= 7 and sweep.faults == 0
+
+    def test_sweep_refuses_a_column_weight_past_seven(self, monkeypatch):
+        # M' gives simple root 1 the coefficient -255 at (1, 2), lane 0, and
+        # simple root 2 a +1 there.  At n = 2, 256·v_simple(1) and
+        # v_simple(2) pack to the same int, so lane 0's packed sum of V·M'
+        # is still the unit, but V·M' is not I: the digits carry.  Only the
+        # weight cap rejects it
+        n, word = 2, ReducedWord(2, (1, 2, 1))
+        chamber_list = wiring.chambers(wiring.build_wiring(word))
+        rows = list(cone.root_rows(n, chamber_list))
+        columns = spanning.formula_vectors(n, chamber_list)
+        assert -256 * columns[0] + columns[1] == 0
+        rows[0], rows[1] = merge(rows[0], [(0, -256)]), merge(rows[1], [(0, 1)])
+        real = spanning.rank_table(n)
+        assert not cone.certify_inverse(rows, columns, real.width)
+        vectors = [real.vector(x).values for x in columns]
+        digits = [sum(v[i] * a for v, row in zip(vectors, rows) for j, a in row if j == 0)
+                  for i in range(3)]
+        assert digits == [-255, -255, 1]  # column 0 of V·M', not e_0
+        table = with_root(monkeypatch, n, weight=[(0, 255)])
+        sweep = spanning._Sweep(table)
+        for i in word.letters:
+            sweep.push(i)
+        assert sweep.acc == list(table.unit) and sweep.weight[0] == 257
+        assert sweep.faults == 1  # lane 0's weight, and nothing else
+        assert not spanning._certified(word)
 
 def kill_children(monkeypatch):
     """Make every process but this one exit with code 3 when it starts its
