@@ -793,12 +793,15 @@ class TestWalk:
         assert (count, uncertified) == (len(walked), [])
 
     def test_certifies_every_word_from_few_states(self):
+        states = {}
         for n in range(1, 6):
-            count, expanded, uncertified = memo_walk(n)
+            count, states[n], uncertified = memo_walk(n)
             assert (count, uncertified) == (staircase_tableaux_count(n), [])
         # the plain walk expands 802402 nodes at n = 5; a clean condition
-        # that let uncrossed lanes in would be false at almost all of them
-        assert count == 292864 and expanded < 10_000, expanded
+        # that let uncrossed lanes in would be false at almost all of them,
+        # and a key that kept the order in which commuting letters came
+        # (one list per chamber for both sides) expands 476 and 8085
+        assert (states[4], states[5]) == (348, 4608), states
 
     def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
         calls = []
@@ -857,23 +860,89 @@ class TestWalk:
         assert 0 < len(rejected) < 768
 
     def test_key_names_the_frontier(self):
-        # levels 1 and 3 name the lanes 0, 2 and 1; lane 3 is unnamed
-        state, opened = [2, 1, 3, 4], [b"", bytes([0, 2]), b"", bytes([1]), b""]
-        unit = [1 << 8 * j for j in range(4)]
-        acc, weight = [unit[0], 5, unit[2], -7], [3, 1, 2, 9]
-        key, dirty = spanning._frontier(state, opened, acc, weight, unit, 6)
+        # level 1 names lane 0 as its left crossing and lane 4 on its lower
+        # side, level 3 names the lanes 1 and 2; lanes 3 and 5 are unnamed
+        state = [2, 1, 3, 4]
+        opened = [b"", bytes([0]), b"", bytes([1, 2]), b""]
+        lower = [b"", bytes([4]), b"", b"", b""]
+        unit = [1 << 8 * j for j in range(6)]
+        acc, weight = [unit[0], 5, unit[2], -7, unit[4], unit[5]], [3, 1, 2, 9, 4, 1]
+
+        def frontier(state=state, opened=opened, lower=lower):
+            return spanning._frontier(state, opened, lower, acc, weight, unit, 6)
+
+        key, dirty = frontier()
         assert isinstance(key, bytes) and dirty == 1  # lane 1's acc
-        for j, named in [(0, True), (1, True), (2, True), (3, False)]:
+        for j in range(6):
             for values in (acc, weight):
                 values[j] += 1
-                other, _ = spanning._frontier(state, opened, acc, weight, unit, 6)
-                assert (other != key) == named, (j, values is acc)
+                assert (frontier()[0] != key) == (j in (0, 1, 2, 4)), (j, values is acc)
                 values[j] -= 1
-        for other in ([1, 2, 3, 4], [b"", bytes([0]), bytes([2]), bytes([1]), b""]):
-            moved = (other, opened) if isinstance(other[0], int) else (state, other)
-            assert spanning._frontier(*moved, acc, weight, unit, 6)[0] != key
+        moves = [
+            {"state": [1, 2, 3, 4]},
+            {"opened": [b"", bytes([0, 1]), b"", bytes([2]), b""]},
+            {"opened": [b"", bytes([0]), b"", bytes([2, 1]), b""]},
+            {"lower": [b"", b"", bytes([4]), b"", b""]},
+            # lane 2 from level 3's upper side to its lower side
+            {"opened": [b"", bytes([0]), b"", bytes([1]), b""],
+             "lower": [b"", bytes([4]), b"", bytes([2]), b""]},
+        ]
+        for move in moves:
+            assert frontier(**move)[0] != key, move
         weight[2] = 8
-        assert spanning._frontier(state, opened, acc, weight, unit, 6)[1] == 2
+        assert frontier()[1] == 2
+        weight[4] = 8
+        assert frontier()[1] == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_commuting_letters_reach_one_key(self, n):
+        # p·a·i and p·i·a, |a - i| >= 2, are one commutation class: the
+        # sweep reaches one state, and so one key, along both.  Every reduced
+        # prefix p is covered: the walk from p depends only on the sweep's
+        # state at p, so each state is expanded once
+        table = spanning.rank_table(n)
+        size = (table.k * table.width + 16) // 8
+        sweep = spanning._Sweep(table)
+
+        def now():
+            lists = (sweep.state, sweep.below, sweep.opened, sweep.lower, sweep.acc, sweep.weight)
+            return tuple(map(tuple, lists)) + (sweep.faults,)
+
+        def key():
+            return spanning._frontier(
+                sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit, size
+            )
+
+        def push(letters):
+            return [(i, sweep.push(i)) for i in letters]
+
+        def undo(frames):
+            for i, frame in reversed(frames):
+                sweep.pop(i, frame)
+
+        def reach(letters):
+            frames = push(letters)
+            reached = now(), key()
+            undo(frames)
+            return reached
+
+        seen, pairs = set(), 0
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            frames = push(prefix)
+            here = now()
+            if here not in seen:
+                seen.add(here)
+                ascents = [i for i in range(1, n + 1) if sweep.state[i - 1] < sweep.state[i]]
+                for a, i in itertools.combinations(ascents, 2):
+                    if i - a >= 2:
+                        assert reach((a, i)) == reach((i, a)), (prefix, a, i)
+                        pairs += 1
+                assert now() == here  # pop undoes push
+                stack.extend(prefix + (i,) for i in ascents)
+            undo(frames)
+        assert pairs > 0 or n < 3
 
     def test_raising_column_names_the_first_word_below(self, monkeypatch):
         # a chamber set whose column raises leaves the words below it
