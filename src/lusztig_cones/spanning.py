@@ -11,13 +11,15 @@ which proves V = M^-1.  Only when the certificate fails is M inverted
 
 The columns are computed on packed integers, one lane of bits per
 positive root (``cone.pack``); ``rank_table(n)``, built once per rank,
-holds the packed simple-root columns.  A component [a, b] counts at the
-root (p, q) iff its points a-1 and b of the chamber set's boundary ∂S
-(``wiring.chamber_boundary``) both lie in [p, q-1].  With N points of ∂S
-there, the weight is max(N-1, 0), whose rounded-up half is ⌊N/2⌋; so a
-chamber's column is the sum of v_simple(t) over t in ∂S, then one shift
-and one mask, in every lane at once (``_packed_column``, which reads ∂S
-off the bit mask of S).
+holds the packed simple-root columns and, for each run of 8 of them,
+the sum of every subset of the run (``RankTable.pieces``).  A component
+[a, b] counts at the root (p, q) iff its points a-1 and b of the chamber
+set's boundary ∂S (``wiring.chamber_boundary``) both lie in [p, q-1].
+With N points of ∂S there, the weight is max(N-1, 0), whose rounded-up
+half is ⌊N/2⌋; so a chamber's column is the sum of v_simple(t) over t in
+∂S, then one shift and one mask, in every lane at once
+(``_packed_column``, which reads ∂S off the bit mask of S and adds one
+piece per 8 points of [1, n]).
 
 ``verify_all`` certifies with one step per letter (``_Sweep``).  In root
 coordinates a chamber's row and its column are fixed once its right
@@ -75,12 +77,14 @@ class RankTable:
     (``cone.pack``), and the root of the certificate's sweep (``_Sweep``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
-    p <= j < q, and ``mask`` holds 2^(width-4) - 1 in every lane.  Entries
-    reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row, two
-    chambers ending at its crossing, two around it), so with ⌊n/2⌋·2^3 <
-    2^(width-1) the mask of ``cone.certify_inverse`` passes every column,
-    and so does ``mask``, the mask of the sweep's certificate, whose column
-    weights stop at 7.
+    p <= j < q, ``pieces`` holds its sums 8 boundary points at a time (the
+    lookups of ``_packed_column``, filled on first use by
+    ``fill_pieces``), and ``mask`` holds 2^(width-4) - 1 in every lane.
+    Entries reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row,
+    two chambers ending at its crossing, two around it), so with
+    ⌊n/2⌋·2^3 < 2^(width-1) the mask of ``cone.certify_inverse`` passes
+    every column, and so does ``mask``, the mask of the sweep's
+    certificate, whose column weights stop at 7.
 
     ``lane[p][q]`` is the lane of the root (p, q), ``unit[j]`` is
     1 << width·j, and ``lanes[j]`` is lane j as a one-element sequence:
@@ -113,6 +117,32 @@ class RankTable:
         self.acc, self.weight = tuple(acc), tuple(weight)
         self.faults = sum(c & ~mask != 0 for c in self.simple)
         self.below = tuple((1 << n + 2) - (2 << i) for i in range(n + 1))
+        self.pieces = None  # filled by the rank's first column (``fill_pieces``)
+
+    def fill_pieces(self) -> tuple:
+        """Build, store and return ``pieces``, the sums of simple columns 8
+        boundary points at a time: ``pieces[g][x]`` is the sum of
+        ``simple[8g + t]`` over the set bits t of x, one tuple of 256
+        entries per 8 points (2^(n mod 8) in the last when 8 does not
+        divide n), each entry one addition from the entry without its
+        lowest bit.
+
+        Filled on first use, so a rank whose columns are never read builds
+        none (at n = 69 they would take about 10 MB).  ``pieces`` is an
+        attribute that ``__init__`` assigns, not a
+        ``functools.cached_property``: that one writes through the
+        instance ``__dict__``, after which CPython 3.11 and 3.12 read every
+        attribute of the table, as the sweep does at each letter, several
+        times more slowly."""
+        pieces = []
+        for start in range(0, self.n, 8):
+            simple = self.simple[start : start + 8]
+            piece = [0] * (1 << len(simple))
+            for x in range(1, len(piece)):
+                piece[x] = piece[x & x - 1] + simple[(x & -x).bit_length() - 1]
+            pieces.append(tuple(piece))
+        self.pieces = tuple(pieces)
+        return self.pieces
 
     def vector(self, x: int) -> RootVector:
         """The root vector whose lanes ``x`` packs."""
@@ -162,17 +192,18 @@ def _packed_column(table: RankTable, members: int) -> int:
     """The column of the chamber set whose strings are the set bits of
     ``members``: the sum of v_simple(t) over its boundary points t, the set
     bits of members ^ members >> 1 in [1, n], shifted right by one bit, and
-    the bit each lane got from the next cleared.  A set that is not a
-    chamber set raises the ValueError of ``wiring.chamber_boundary``."""
+    the bit each lane got from the next cleared.  The sum is read 8 points
+    at a time from ``RankTable.pieces``.  A set that is not a chamber set
+    raises the ValueError of ``wiring.chamber_boundary``."""
     n = table.n
     points = (members ^ members >> 1) & (2 << n) - 2
     if points & points - 1 == 0 or members & 1 or members >> n + 2:
         wiring.chamber_boundary({s for s in range(members.bit_length()) if members >> s & 1}, n)
-    simple, total = table.simple, 0
-    while points:
-        point = points & -points
-        total += simple[point.bit_length() - 2]
-        points ^= point
+    points >>= 1
+    total = 0
+    for piece in table.pieces or table.fill_pieces():
+        total += piece[points & 255]
+        points >>= 8
     return total >> 1 & table.mask
 
 
@@ -315,7 +346,8 @@ def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes
     in the order of each lane's first appearance.  The strings and entries
     fix how many lanes follow and every value has a fixed width, so equal
     keys are equal frontiers; a value too large for its bytes raises, and
-    so does a rank with more than 255 positive roots (n > 21)."""
+    so does a rank with more than 255 positive roots: n > 22, where
+    ``RankTable.lanes`` are tuples and joining them raises TypeError."""
     sides = b"\xff".join(opened + lower)
     lanes = dict.fromkeys(sides)
     del lanes[255]

@@ -160,22 +160,35 @@ def hook_walk_tableau(n: int, rng) -> list[list[int]]:
     Each entry m = k, k-1, ..., 1 goes into the corner where a walk ends:
     it starts at a uniform cell of the shape still empty and moves to a
     uniform cell of its hook (the cells to its right or below) until it
-    reaches a corner.  Only ``rng.randrange`` is called.
+    reaches a corner.  Only ``rng.getrandbits`` is called: a draw below h
+    takes b = h.bit_length() bits until they give a number below h, which
+    is what ``Random.randrange(h)`` does on CPython (3.10 to 3.13), so the
+    tableau and the generator's state afterwards are those of ``randrange``
+    draws.
     """
+    getrandbits = rng.getrandbits
     rows = list(range(n, 0, -1))  # row and column lengths of the empty part
     cols = list(rows)
     tableau = [[0] * length for length in rows]
     for m in range(longest_word_length(n), 0, -1):
-        x, r = rng.randrange(m), 0
+        b = m.bit_length()
+        x = getrandbits(b)
+        while x >= m:
+            x = getrandbits(b)
+        r = 0
         while x >= rows[r]:
             x -= rows[r]
             r += 1
         c = x
         while True:
             arm, leg = rows[r] - c - 1, cols[c] - r - 1
-            if not arm + leg:
+            h = arm + leg
+            if not h:
                 break
-            x = rng.randrange(arm + leg)
+            b = h.bit_length()
+            x = getrandbits(b)
+            while x >= h:
+                x = getrandbits(b)
             if x < arm:
                 c += 1 + x
             else:
@@ -195,33 +208,36 @@ def edelman_greene(tableau: list[list[int]]) -> tuple[int, ...]:
     left cell, each time taking the larger of the entries to its left and
     above.  Instead of refilling with 0 and adding 1 to every entry, the top
     left cell gets a decreasing offset, which keeps the order of the
-    entries.  The promotion runs on a copy of ``tableau``.
+    entries; so the entries k, k-1, ..., 1 leave in turn, and each is
+    looked up among the corners by its value (ValueError if it is not in
+    one).  The promotion runs on a flat copy of ``tableau`` with stride
+    n+1 (cell (r, c) at (r+1)·(n+1) + c+1), framed by a row above and a
+    column to the left that hold -k-1, below every entry and every offset,
+    so the slide needs no test for the top row or the left column.
     """
-    tableau = [list(row) for row in tableau]
     n = len(tableau)
-    corners = [row[-1] for row in tableau]  # the cell (r, n-1-r) of each row
+    k, stride = longest_word_length(n), n + 1
+    cells = [-k - 1] * (stride * stride)
+    for r, row in enumerate(tableau, 1):
+        cells[r * stride + 1 : r * stride + 1 + len(row)] = row
+    origin = stride + 1
+    spots = [(r + 1) * stride + n - r for r in range(n)]  # the corner (r, n-1-r) of each row
+    corners = [cells[p] for p in spots]
     letters = []
-    for offset in range(0, -longest_word_length(n), -1):
-        r = start = corners.index(max(corners))
-        c = n - 1 - r
-        letters.append(c + 1)
-        row = tableau[r]
-        while r and c:
-            up, left = tableau[r - 1][c], row[c - 1]
+    for m in range(k, 0, -1):  # the largest entry left, always in a corner
+        start = corners.index(m)
+        letters.append(n - start)
+        p = spots[start]
+        while p != origin:
+            up, left = cells[p - stride], cells[p - 1]
             if up > left:
-                row[c] = up
-                r -= 1
-                row = tableau[r]
+                cells[p] = up
+                p -= stride
             else:
-                row[c] = left
-                c -= 1
-        while r:
-            tableau[r][0] = tableau[r - 1][0]
-            r -= 1
-        row = tableau[0]
-        row[1 : c + 1] = row[:c]
-        row[0] = offset
-        corners[start] = tableau[start][-1]
+                cells[p] = left
+                p -= 1
+        cells[origin] = m - k
+        corners[start] = cells[spots[start]]
     return tuple(letters)
 
 

@@ -72,7 +72,7 @@ def floating_point(node):
 
 def test_integers_only():
     # "no floating point anywhere": exact integer arithmetic throughout,
-    # and random draws by randrange, never by uniform reals
+    # and random draws by randrange or getrandbits, never by uniform reals
     found = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))

@@ -184,6 +184,23 @@ class TestFormulas:
         assert cone.unpack(table.mask, table.k, table.width) == (2**b - 1,) * table.k
         assert 7 * (2**b - 1) < 2 ** (table.width - 1) and n // 2 < 2**b
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 16, 17, 24])
+    def test_pieces_are_sums_of_simple_columns(self, n):
+        # every entry of every 8-point piece, against its plain sum; the
+        # exhaustive mask test below reaches the second piece only at
+        # n = 9 and 10
+        table = spanning.RankTable(n)
+        assert table.pieces is None
+        pieces = table.fill_pieces()
+        assert table.pieces is pieces
+        assert [len(piece) for piece in pieces] == [
+            1 << min(8, n - start) for start in range(0, n, 8)
+        ]
+        for g, piece in enumerate(pieces):
+            for x, total in enumerate(piece):
+                points = [8 * g + t for t in range(8) if x >> t & 1]
+                assert total == sum(table.simple[t] for t in points), (g, x)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_mask_column_on_every_mask(self, n):
         # every set of strings in [0, n+2], legal or not, as a bit mask and
@@ -893,6 +910,25 @@ class TestWalk:
         assert frontier()[1] == 2
         weight[4] = 8
         assert frontier()[1] == 3
+
+    @pytest.mark.parametrize("n", [22, 23])
+    def test_key_bytes_up_to_255_roots(self, n):
+        # n = 22 has 253 positive roots, each lane one byte below the
+        # separator 255; n = 23 has 276, its lanes are tuples, and the key
+        # cannot be built
+        table = spanning.rank_table(n)
+        sweep = spanning._Sweep(table)
+        for i in (1, 2, 1):  # the third letter closes the chamber at level 1
+            sweep.push(i)
+        args = (sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit)
+        size = (table.k * table.width + 16) // 8
+        if n == 22:
+            key, _ = spanning._frontier(*args, size)
+            assert table.k == 253 and key.startswith(bytes(sweep.state))
+        else:
+            assert table.k == 276
+            with pytest.raises(TypeError):
+                spanning._frontier(*args, size)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_commuting_letters_reach_one_key(self, n):

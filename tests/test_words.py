@@ -18,6 +18,8 @@ from lusztig_cones.words import (
     staircase_word,
 )
 
+import golden_words
+
 
 def staircase_tableaux_count(n):
     """Number of standard Young tableaux of staircase shape (n, ..., 1),
@@ -294,6 +296,34 @@ def textbook_promotion(tableau):
     return tuple(letters)
 
 
+def randrange_hook_walk(n, rng):
+    """The hook walk with one ``rng.randrange`` call per draw (the
+    reference): ``hook_walk_tableau`` must give the same tableau and leave
+    the generator in the same state."""
+    rows = list(range(n, 0, -1))
+    cols = list(rows)
+    tableau = [[0] * length for length in rows]
+    for m in range(n * (n + 1) // 2, 0, -1):
+        x, r = rng.randrange(m), 0
+        while x >= rows[r]:
+            x -= rows[r]
+            r += 1
+        c = x
+        while True:
+            arm, leg = rows[r] - c - 1, cols[c] - r - 1
+            if not arm + leg:
+                break
+            x = rng.randrange(arm + leg)
+            if x < arm:
+                c += 1 + x
+            else:
+                r += 1 + x - arm
+        tableau[r][c] = m
+        rows[r] -= 1
+        cols[c] -= 1
+    return tableau
+
+
 def is_standard(tableau, n):
     entries = sorted(x for row in tableau for x in row)
     columns = [[row[c] for row in tableau if c < len(row)] for c in range(n)]
@@ -317,7 +347,7 @@ class TestSampler:
         for t in staircase_tableaux(n):
             assert edelman_greene(t) == textbook_promotion(t)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 16])
     def test_hook_walk_gives_standard_tableaux(self, n):
         rng = random.Random(n)
         for _ in range(5):
@@ -330,3 +360,28 @@ class TestSampler:
     def test_rank_one(self):
         assert hook_walk_tableau(1, random.Random(0)) == [[1]]
         assert edelman_greene([[1]]) == (1,)
+
+    def test_promotion_finds_each_entry_in_a_corner(self):
+        # entries leave in decreasing order, each looked up among the
+        # corners; a largest entry off the corners is no standard tableau
+        assert edelman_greene([[1, 3], [2]]) == textbook_promotion([[1, 3], [2]])
+        with pytest.raises(ValueError):
+            edelman_greene([[3, 1], [2]])
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_hook_walk_draws_as_randrange(self, n):
+        # each seed on its own generator, then one generator shared by all
+        # draws: equal tableaux and equal generator states after each draw
+        shared, reference = random.Random(n), random.Random(n)
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert hook_walk_tableau(n, rng) == randrange_hook_walk(n, ref), seed
+            assert rng.getstate() == ref.getstate(), seed
+            assert hook_walk_tableau(n, shared) == randrange_hook_walk(n, reference), seed
+            assert shared.getstate() == reference.getstate(), seed
+
+    @pytest.mark.parametrize("key", sorted(golden_words.GOLDEN))
+    def test_sampled_words_match_their_golden_digest(self, key):
+        # the t-th word of each seed is fixed (README); the digests are
+        # also checked without pytest on every supported Python
+        assert golden_words.digest(*key) == golden_words.GOLDEN[key]
