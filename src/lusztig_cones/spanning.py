@@ -21,18 +21,24 @@ half is ⌊N/2⌋; so a chamber's column is the sum of v_simple(t) over t in
 (``_packed_column``, which reads ∂S off the bit mask of S and adds one
 piece per 8 points of [1, n]).
 
-``verify_all`` certifies with one step per letter (``_Sweep``).  In root
-coordinates a chamber's row and its column are fixed once its right
-crossing is placed, so the step adds them to the column sums acc_j of
-V·M there, once.  A word is certified when every acc_j is the unit
-1 << width·j, every chamber column passes ``RankTable.mask`` (each entry
-below 2^b, b = width - 4) and no column of M weighs more than 7.  Then
-every digit of V·M - I is below 2^(width-1) in absolute value, and
-acc_j = unit for every j proves V·M = I, as in ``cone.certify_inverse``.
-A sampled word takes the step along its letters (``_certified``); an
-exhaustive run takes it along the prefix tree of reduced words
-(``_walk``), where every word below a node shares the chambers closed
-above it.  A certified word builds no diagram, vector, label or verdict.
+``verify_all`` certifies with the column sums acc_j of V·M.  In root
+coordinates a chamber's row is -1 at its left and right crossings and +1
+at the crossings one level above and below it in between.  Lane j is
+crossed once, so acc_j has at most four chamber terms besides its simple
+root's: the chambers left and right of its crossing and the ones open one
+level above and below it, each counted if it is bounded.  A word is
+certified when every acc_j is the unit 1 << width·j, every chamber column
+passes ``RankTable.mask`` (each entry below 2^b, b = width - 4) and no
+column of M weighs more than 7.  Then every digit of V·M - I is below
+2^(width-1) in absolute value, and acc_j = unit for every j proves
+V·M = I, as in ``cone.certify_inverse``.  A sampled word is read in two
+passes, one over its letters that fixes each chamber's column and the
+four regions around each crossing, one over its crossings that sums them
+(``_certified``); an exhaustive run takes one step per letter
+(``_Sweep``) along the prefix tree of reduced words (``_walk``), where
+every word below a node shares the chambers closed above it and every
+prefix has its acc_j.  A certified word builds no diagram, vector, label
+or verdict.
 Equal frontiers share one subtree.  Below a node the walk reads only the
 strings, the lanes of the chamber open at each level, their acc_j and
 w_j, and whether every other crossed lane is clean and every closed
@@ -45,8 +51,8 @@ lanes are kept on two sides, the crossings one level up and one level
 down, each in the order of its crossings; that order is the same in every
 word of a commutation class, so commuting prefixes reach one key and
 share one subtree: all 1100742656 words at n = 6 in seconds, and all
-48608795688960 at n = 7 in about a minute.  A word that the step does
-not certify, in either mode, is checked on its own (``_verdicts``),
+48608795688960 at n = 7 in about a minute.  A word that is not
+certified, in either mode, is checked on its own (``_verdicts``),
 which names the failing labels or raises.
 """
 
@@ -74,7 +80,8 @@ from .words import (
 class RankTable:
     """Packed integer vectors of rank n: one lane of ``width`` bits per
     positive root, in the order of ``all_positive_roots(n)``
-    (``cone.pack``), and the root of the certificate's sweep (``_Sweep``).
+    (``cone.pack``), and the start of the certificate's column sums
+    (``_Sweep``, ``_lane_sums``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
     p <= j < q, ``pieces`` holds its sums 8 boundary points at a time (the
@@ -83,15 +90,15 @@ class RankTable:
     Entries reach ⌊n/2⌋ and a column of M weighs at most 5 (a simple row,
     two chambers ending at its crossing, two around it), so with
     ⌊n/2⌋·2^3 < 2^(width-1) the mask of ``cone.certify_inverse`` passes
-    every column, and so does ``mask``, the mask of the sweep's
+    every column, and so does ``mask``, the mask of the column-sum
     certificate, whose column weights stop at 7.
 
     ``lane[p][q]`` is the lane of the root (p, q), ``unit[j]`` is
     1 << width·j, and ``lanes[j]`` is lane j as a one-element sequence:
     bytes while every lane is below 255, the separator of the walk's keys
-    (``_frontier``), else a tuple.  At the sweep's root the simple rows and
-    columns are in: ``acc`` and ``weight`` hold the column sums and
-    weights of V·M, ``faults`` the simple columns that fail ``mask``, and
+    (``_frontier``), else a tuple.  Before the first letter the simple
+    rows and columns are in: ``acc`` and ``weight`` hold the column sums
+    and weights of V·M, ``faults`` the simple columns that fail ``mask``, and
     ``below[i]`` the strings under level i, as a bit mask.
     """
 
@@ -362,8 +369,9 @@ def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes
 
 class _Sweep:
     """A word's wiring trace, letter by letter, with the counters of the
-    certificate: the one step that ``_walk`` takes at each node of the
-    prefix tree and ``_certified`` takes along a single word.
+    certificate: the step that ``_walk`` takes at each node of the prefix
+    tree, where every prefix needs its acc_j for the frontier key and every
+    step must be undone on the way back.
 
     ``push(i)`` swaps the strings at levels i and i+1, whose crossing is
     the root of lane r, and closes the chamber open at level i, if one is:
@@ -475,13 +483,63 @@ class _Sweep:
         self.below[i] ^= 1 << a | 1 << b
 
 
+def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
+    """(acc, weight, faults) of the certificate of ``word``, lane by lane:
+    the column sums acc_j of V·M, the column weights w_j, and the faults,
+    all as ``_Sweep`` has them once every letter is in.
+
+    Two passes.  Over the letters, each level keeps its open region, with
+    id 0 for its first, unbounded one.  Crossing t opens region t at its
+    level, its right region, and closes the region open there before, its
+    left region, if that one is bounded (id not 0): the chamber's column,
+    ``_packed_column`` of the strings under the level, is then fixed, or
+    is 0 and a fault if it raises or fails ``RankTable.mask``.  Each
+    crossing records its lane, its left region and the regions open one
+    level up and one level down.  Over the crossings, lane r of crossing t
+    then gets the four chamber terms of its column of V·M, col[up] +
+    col[down] - col[left] - col[t], and one weight for each of the four
+    that was closed; a region that nothing closed, the first or the last
+    of a level, is no chamber and adds 0 to both.  Every lane is crossed
+    once, so acc and weight are complete.  The faults count as in
+    ``_Sweep``, whose soundness argument holds as it stands: the weights
+    are counted, one per chamber term.
+    """
+    table = rank_table(word.n)
+    lane, below, mask = table.lane, list(table.below), table.mask
+    state = list(range(1, word.n + 2))
+    opened = [0] * (word.n + 2)  # level -> its open region
+    columns = [0] * (table.k + 1)  # region -> its column
+    closed = bytearray(table.k + 1)  # region -> 1 once closed
+    crossings, faults = [], table.faults
+    for t, i in enumerate(word.letters, 1):
+        a, b = state[i - 1], state[i]
+        left = opened[i]
+        if left:
+            try:
+                column = _packed_column(table, below[i])
+            except Exception:  # raised again, naming the word, by its own check
+                column = None
+            if column is None or column & ~mask:
+                faults += 1
+                column = 0
+            columns[left], closed[left] = column, 1
+        crossings.append((lane[a][b], left, opened[i - 1], opened[i + 1]))
+        opened[i] = t
+        state[i - 1], state[i] = b, a
+        below[i] ^= 1 << a | 1 << b
+    acc, weight = list(table.acc), list(table.weight)
+    for t, (r, left, up, down) in enumerate(crossings, 1):
+        acc[r] += columns[up] + columns[down] - columns[left] - columns[t]
+        weight[r] += closed[up] + closed[down] + closed[left] + closed[t]
+    faults += sum(map(int.__ne__, acc, table.unit)) + sum(map((7).__lt__, weight))
+    return acc, weight, faults
+
+
 def _certified(word: ReducedWord) -> bool:
-    """Whether the sweep along the letters of ``word`` certifies it
-    (``_Sweep``): no diagram, chamber, row, vector or verdict is built."""
-    sweep = _Sweep(rank_table(word.n))
-    for i in word.letters:
-        sweep.push(i)
-    return not sweep.faults
+    """Whether the certificate of ``word``, read off the four regions
+    around each crossing (``_lane_sums``), holds: no diagram, chamber,
+    row, vector or verdict is built."""
+    return not _lane_sums(word)[2]
 
 
 def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
@@ -608,9 +666,10 @@ def _check_share(n: int, mode: str, count: int, seed: int, depth: int, share: in
     """Check one share of the run: (words checked, [(sort key, mismatch
     record), ...]).  Exhaustive, the share is walked (``_walk``); the key
     is a word's letters.  Sampled, the share is the words share,
-    share+shares, ..., each drawn here and swept along its letters
-    (``_certified``); the key is its index.  Only a word the step does not
-    certify is checked on its own (``_check_word``)."""
+    share+shares, ..., each drawn here and certified from the four regions
+    around each of its crossings (``_certified``); the key is its index.
+    Only a word that is not certified is checked on its own
+    (``_check_word``)."""
     mismatches = []
     if mode == "exhaustive":
         checked, _ = _walk(
@@ -661,10 +720,12 @@ def verify_all(
 ) -> VerifyReport:
     """Check the theorem on every reduced word of w0 (``mode`` "exhaustive")
     or on ``count`` words drawn uniformly (``mode`` "sample"), and
-    aggregate the mismatches.  Each word is certified by the sweep
-    (``_Sweep``); a word it does not certify is checked on its own, as in
-    ``verify_theorem``, and an error raised on it is re-raised as a
-    ValueError naming its letters.
+    aggregate the mismatches.  Each word is certified by its column sums
+    of V·M: along the prefix tree with one step per letter (``_Sweep``)
+    when exhaustive, from the four regions around each crossing
+    (``_certified``) when sampled.  A word that is not certified is checked
+    on its own, as in ``verify_theorem``, and an error raised on it is
+    re-raised as a ValueError naming its letters.
 
     The run is split into shares, one per process, with J = min(jobs,
     cores) processes at most.  Exhaustive, the tree of reduced prefixes is
@@ -672,14 +733,13 @@ def verify_all(
     share i walks the subtrees under the depth-d prefixes of rank i modulo
     the number of shares, and certifies along them (``_walk``).  Sampled,
     share i of s holds the words i, i+s, i+2s, ... (``random_word``), each
-    swept on its own (``_certified``).  The
-    parent checks share 0 and starts one process per other share, which
-    checks its own words and sends back only its count and mismatch
-    records; the records are merged in word order (by letters when
-    exhaustive, by index when sampled), so the report does not depend on
-    ``jobs``.  A process that dies or raises ends the run with a
-    ValueError, and no process outlives the call.  A run that would check
-    no word raises ValueError."""
+    certified on its own (``_certified``).  The parent checks share 0 and
+    starts one process per other share, which checks its own words and
+    sends back only its count and mismatch records; the records are
+    merged in word order (by letters when exhaustive, by index when
+    sampled), so the report does not depend on ``jobs``.  A process that
+    dies or raises ends the run with a ValueError, and no process outlives
+    the call.  A run that would check no word raises ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)

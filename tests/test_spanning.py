@@ -1100,10 +1100,35 @@ class TestSweep:
             assert spanning._certified(word) is certified is certified_by_certify_inverse(word)
             assert certified
 
-    @pytest.mark.parametrize("n, count", [(7, 200), (12, 60)])
+    @pytest.mark.parametrize("n, count", [(7, 200), (12, 60), (24, 10)])
     def test_sweep_agrees_with_certify_inverse_on_uniform_words(self, n, count):
         for word in random_words(n, count, 11):
             assert spanning._certified(word) is certified_by_certify_inverse(word) is True
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_sweep_lane_sums_equal_the_walk_step_lane_by_lane(self, monkeypatch, planted):
+        # not only the verdict: every acc_j, every w_j and the fault count
+        # read off the four regions around each crossing equal those of the
+        # walk's step after the word's last letter, also where a planted
+        # column faults
+        real = spanning._packed_column
+
+        def held_without_missing(table, members):  # the planted column (2, 4) of TestWalk
+            strings = strings_of(members)
+            return real(table, members) + (2 in strings and 4 not in strings)
+
+        if planted:
+            monkeypatch.setattr(spanning, "_packed_column", held_without_missing)
+        sample = itertools.chain.from_iterable(map(enumerate_reduced_words, range(1, 5)))
+        faulty = 0
+        for word in itertools.chain(sample, random_words(7, 50, 13)):
+            sweep = spanning._Sweep(spanning.rank_table(word.n))
+            for i in word.letters:
+                sweep.push(i)
+            acc, weight, faults = spanning._lane_sums(word)
+            assert (acc, weight, faults) == (sweep.acc, sweep.weight, sweep.faults), word.letters
+            faulty += faults > 0
+        assert (faulty > 0) is planted
 
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_sweep_agrees_under_a_planted_defect(self, monkeypatch, held, missing):
