@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="processes, this one included, at most one per core; each checks its own "
-        "subtrees of the reduced words (exhaustive) or its own stride of them (sample)",
+        help="processes for a sampled run, this one included, at most one per core, "
+        "each checking its own stride of the words; an exhaustive run accepts it and "
+        "runs in one process",
     )
     add("member", cmd_member, "--word", "--point")
     add("decompose", cmd_decompose, "--word", "--point")

@@ -66,14 +66,13 @@ from dataclasses import dataclass
 
 from . import cone, pquiver, wiring
 from .cone import RootVector
-from .pquiver import Component, PartialQuiver
+from .pquiver import PartialQuiver
 from .words import (
     ReducedWord,
     _reduced_by_construction,
     all_positive_roots,
     edelman_greene,
     hook_walk_tableau,
-    longest_word_length,
 )
 
 
@@ -168,22 +167,6 @@ def v_simple(j: int, n: int) -> RootVector:
         raise ValueError(f"simple root index {j} out of range [1, {n}]")
     table = rank_table(n)
     return table.vector(table.simple[j - 1])
-
-
-def v_component(Y: Component, n: int) -> RootVector:
-    """Indicator of the roots (p, q) with p < a(Y) <= b(Y) < q: those that
-    contain both α_{a-1} and α_b."""
-    if not 2 <= Y.a <= Y.b <= n:
-        raise ValueError(f"component edges [{Y.a}, {Y.b}] out of range [2, {n}]")
-    table = rank_table(n)
-    return table.vector(table.simple[Y.a - 2] & table.simple[Y.b - 1])
-
-
-def weight_vector(P: PartialQuiver) -> RootVector:
-    """Sum of the component indicator vectors of P."""
-    table = rank_table(P.n)
-    simple = table.simple
-    return table.vector(sum(simple[Y.a - 2] & simple[Y.b - 1] for Y in pquiver.components(P)))
 
 
 def _strings_mask(members, n: int) -> int:
@@ -342,6 +325,11 @@ def _chamber_fields(members, n: int) -> dict:
     }
 
 
+# the largest rank with at most 255 positive roots: every lane of a
+# frontier key is then one byte below the separator 255 (``_frontier``)
+_WALK_MAX_RANK = 22
+
+
 def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes, int]:
     """(key, dirty) of a node of ``_walk``: its frontier as bytes, and how
     many faults the lanes that ``opened`` and ``lower`` name hold (acc_j !=
@@ -353,8 +341,8 @@ def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes
     in the order of each lane's first appearance.  The strings and entries
     fix how many lanes follow and every value has a fixed width, so equal
     keys are equal frontiers; a value too large for its bytes raises, and
-    so does a rank with more than 255 positive roots: n > 22, where
-    ``RankTable.lanes`` are tuples and joining them raises TypeError."""
+    so does a rank with more than 255 positive roots, n > ``_WALK_MAX_RANK``,
+    where ``RankTable.lanes`` are tuples and joining them raises TypeError."""
     sides = b"\xff".join(opened + lower)
     lanes = dict.fromkeys(sides)
     del lanes[255]
@@ -542,12 +530,10 @@ def _certified(word: ReducedWord) -> bool:
     return not _lane_sums(word)[2]
 
 
-def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
+def _walk(n: int, uncertified):
     """Certify the reduced words of w0 along their prefix tree, and call
     ``uncertified`` on each word it does not certify, in the order of
-    ``enumerate_reduced_words``: (words, internal nodes expanded).  Only
-    the subtrees under the prefixes of length ``depth`` whose rank in that
-    order is ``share`` modulo ``shares`` are walked.
+    ``enumerate_reduced_words``: (words, internal nodes expanded).
 
     Depth first over reduced prefixes, one step of the sweep per node
     (``_Sweep``): a chamber's row and column are fixed where it closes,
@@ -577,12 +563,11 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
     to their number, and a node whose key it holds is not expanded.  Faults
     never clear below a dirty node, so it certifies no word; it is
     expanded node by node, as is a clean node with an uncertified word
-    below it, and no uncertified word is skipped.  Above ``depth`` the
-    subtrees depend on the share, and no key is made.  The memo lives for
-    one call.
+    below it, and no uncertified word is skipped.  The memo lives for one
+    call, which runs in one process: split between processes, each share
+    would meet almost every frontier of the whole walk again.  The keys
+    hold lanes as bytes, so n <= ``_WALK_MAX_RANK``.
     """
-    if depth == 0 and share:  # the root has rank 0: share 0 holds every word
-        return 0, 0
     table = rank_table(n)
     k, unit = table.k, table.unit
     # an acc_j sums at most k + 1 values below 2^(k·width), so with its sign
@@ -592,7 +577,7 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
     state, opened, lower = sweep.state, sweep.opened, sweep.lower
     acc, weight = sweep.acc, sweep.weight
     memo = {}  # key of a clean node -> its words, all certified
-    prefix, frames, seen, i = [], [], 0, 1
+    prefix, frames, i = [], [], 1
     words, failed, expanded = 0, 0, 1
     while True:
         while i <= n and state[i - 1] > state[i]:
@@ -601,22 +586,19 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
             step = sweep.push(i)
             prefix.append(i)
             key, i, length = None, 1, len(prefix)
-            if length == depth and seen % shares != share:  # another share's subtree
-                i = n + 1
-            elif length == k:
+            if length == k:
                 words += 1
                 if sweep.faults:
                     failed += 1
                     uncertified(_reduced_by_construction(n, tuple(prefix)))
-            elif length >= depth:
+            else:
                 key, dirty = _frontier(state, opened, lower, acc, weight, unit, size)
                 if dirty != sweep.faults:
                     key = None
                 elif key in memo:
                     words += memo[key]
                     key, i = None, n + 1
-            seen += length == depth
-            expanded += i == 1 and length < k
+                expanded += i == 1
             frames.append((step, key, words, failed))
         elif prefix:
             i = prefix.pop()
@@ -629,66 +611,43 @@ def _walk(n: int, uncertified, depth: int = 0, share: int = 0, shares: int = 1):
             return words, expanded
 
 
-def _prefix_split(n: int, jobs: int) -> tuple[int, int]:
-    """(depth, shares) of an exhaustive run on ``jobs`` processes: the least
-    depth with at least 8·jobs reduced prefixes, or the words' length if
-    none has that many, and min(jobs, prefixes of that length)."""
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    k, level, depth = longest_word_length(n), [tuple(range(1, n + 2))], 0
-    while len(level) < 8 * jobs and depth < k:
-        level = [
-            p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
-            for p in level
-            for i in range(1, n + 1)
-            if p[i - 1] < p[i]
-        ]
-        depth += 1
-    return depth, min(jobs, len(level))
-
-
-def _check_word(word: ReducedWord, key, mismatches: list) -> None:
-    """Check ``word`` on its own and add (key, mismatch record) to
-    ``mismatches`` for each label it fails; an error raised on it is
-    raised again as a ValueError naming its letters."""
+def _check_word(word: ReducedWord) -> list:
+    """Check ``word`` on its own: its mismatch record for each label it
+    fails, in label order.  An error raised on it is raised again as a
+    ValueError naming its letters."""
     try:
         failing = _verdicts(word, False)
     except Exception as exc:
         raise ValueError(f"word {word.letters}: {type(exc).__name__}: {exc}") from exc
-    if failing:  # (verdicts, chambers)
-        for v, ch in zip(failing[0], [None] * word.n + failing[1]):
-            if not v.equal:
-                fields = _chamber_fields(ch.chamber_set, word.n) if ch else {}
-                mismatches.append((key, (word, v.label, v.formula, v.inverse, fields)))
+    if not failing:
+        return []
+    verdicts, chamber_list = failing
+    return [
+        (word, v.label, v.formula, v.inverse, _chamber_fields(ch.chamber_set, word.n) if ch else {})
+        for v, ch in zip(verdicts, [None] * word.n + chamber_list)
+        if not v.equal
+    ]
 
 
-def _check_share(n: int, mode: str, count: int, seed: int, depth: int, share: int, shares: int):
-    """Check one share of the run: (words checked, [(sort key, mismatch
-    record), ...]).  Exhaustive, the share is walked (``_walk``); the key
-    is a word's letters.  Sampled, the share is the words share,
-    share+shares, ..., each drawn here and certified from the four regions
-    around each of its crossings (``_certified``); the key is its index.
-    Only a word that is not certified is checked on its own
-    (``_check_word``)."""
+def _check_sample(n: int, count: int, seed: int, share: int, shares: int):
+    """Check one share of a sampled run: (words checked, [(index, mismatch
+    record), ...]).  The share is the words share, share+shares, ..., each
+    drawn here (``random_word``) and certified from the four regions
+    around each of its crossings (``_certified``).  Only a word that is not
+    certified is checked on its own (``_check_word``)."""
     mismatches = []
-    if mode == "exhaustive":
-        checked, _ = _walk(
-            n, lambda word: _check_word(word, word.letters, mismatches), depth, share, shares
-        )
-    else:
-        indices = range(share, count, shares)
-        for t in indices:
-            word = random_word(n, seed, t)
-            if not _certified(word):
-                _check_word(word, t, mismatches)
-        checked = len(indices)
-    return checked, mismatches
+    indices = range(share, count, shares)
+    for t in indices:
+        word = random_word(n, seed, t)
+        if not _certified(word):
+            mismatches += [(t, record) for record in _check_word(word)]
+    return len(indices), mismatches
 
 
 def _send_share(conn, *args) -> None:
     """A child's share: its result, or its error's message, on ``conn``."""
     try:
-        result = _check_share(*args)
+        result = _check_sample(*args)
     except Exception as exc:
         result = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
     conn.send(result)
@@ -721,37 +680,41 @@ def verify_all(
     """Check the theorem on every reduced word of w0 (``mode`` "exhaustive")
     or on ``count`` words drawn uniformly (``mode`` "sample"), and
     aggregate the mismatches.  Each word is certified by its column sums
-    of V·M: along the prefix tree with one step per letter (``_Sweep``)
+    of V·M: along the prefix tree with one step per letter (``_walk``)
     when exhaustive, from the four regions around each crossing
     (``_certified``) when sampled.  A word that is not certified is checked
     on its own, as in ``verify_theorem``, and an error raised on it is
-    re-raised as a ValueError naming its letters.
+    re-raised as a ValueError naming its letters.  The records come in
+    word order: by letters when exhaustive, by index when sampled.
 
-    The run is split into shares, one per process, with J = min(jobs,
-    cores) processes at most.  Exhaustive, the tree of reduced prefixes is
-    split at the least depth d with 8·J nodes or more (``_prefix_split``):
-    share i walks the subtrees under the depth-d prefixes of rank i modulo
-    the number of shares, and certifies along them (``_walk``).  Sampled,
-    share i of s holds the words i, i+s, i+2s, ... (``random_word``), each
-    certified on its own (``_certified``).  The parent checks share 0 and
-    starts one process per other share, which checks its own words and
-    sends back only its count and mismatch records; the records are
-    merged in word order (by letters when exhaustive, by index when
-    sampled), so the report does not depend on ``jobs``.  A process that
-    dies or raises ends the run with a ValueError, and no process outlives
-    the call.  A run that would check no word raises ValueError."""
+    An exhaustive run is one walk in this process, whatever ``jobs`` says,
+    and needs 1 <= n <= ``_WALK_MAX_RANK``.  A sampled run is split into
+    min(jobs, cores, count) shares, one per process: share i of s holds
+    the words i, i+s, i+2s, ... (``_check_sample``).  The parent checks
+    share 0 and starts one process per other share, which sends back only
+    its count and mismatch records; the records are merged by index, so
+    the report does not depend on ``jobs``.  A process that dies or raises
+    ends the run with a ValueError, and no process outlives the call.  A
+    run that would check no word raises ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
     if mode == "exhaustive":
-        depth, shares = _prefix_split(n, jobs)
-    elif mode == "sample":
-        if count < 1:
-            raise ValueError(f"count must be at least 1 in sample mode, got {count}")
-        depth, shares = 0, min(jobs, count)
-    else:
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        if n > _WALK_MAX_RANK:
+            raise ValueError(
+                f"exhaustive verify takes rank at most {_WALK_MAX_RANK}, got {n}: "
+                "the walk's frontier keys hold each lane as one byte below 255"
+            )
+        mismatches = []
+        checked, _ = _walk(n, lambda word: mismatches.extend(_check_word(word)))
+        return VerifyReport(n=n, checked=checked, mismatches=mismatches)
+    if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
-    args = (n, mode, count, seed, depth)
+    if count < 1:
+        raise ValueError(f"count must be at least 1 in sample mode, got {count}")
+    shares = min(jobs, os.cpu_count() or 1, count)
+    args = (n, count, seed)
     children = []
     try:
         if shares > 1:
@@ -765,7 +728,7 @@ def verify_all(
                 with sender:
                     process.start()
                 children.append((process, receiver))
-        results = [_check_share(*args, 0, shares)]
+        results = [_check_sample(*args, 0, shares)]
         results += [_receive_share(p, conn, i) for i, (p, conn) in enumerate(children, 1)]
     except BaseException:
         for process, _ in children:

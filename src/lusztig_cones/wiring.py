@@ -43,14 +43,6 @@ class WiringDiagram:
     profiles: tuple[tuple[int, ...], ...]
 
 
-def is_chamber_set(members, n: int) -> bool:
-    """A legal chamber set: nonempty, not an initial or final interval."""
-    s = set(members)
-    m = len(s)  # the empty set is the initial interval [1, 0]
-    initial, final = set(range(1, m + 1)), set(range(n + 2 - m, n + 2))
-    return s <= set(range(1, n + 2)) and s != initial and s != final
-
-
 def chamber_boundary(members, n: int) -> list[int]:
     """The boundary of a chamber set: the t in [1, n] with exactly one of
     t, t+1 in it, in order.  The one legality check: a subset of [1, n+1]

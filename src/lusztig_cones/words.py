@@ -26,12 +26,6 @@ def all_positive_roots(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 2)]
 
 
-def root_as_simple_coords(root: tuple[int, int], n: int) -> tuple[int, ...]:
-    """Expand (p, q) in the basis of simple roots alpha_1..alpha_n."""
-    p, q = root
-    return tuple(1 if p <= i < q else 0 for i in range(1, n + 1))
-
-
 def permutation_of(letters: tuple[int, ...], n: int) -> tuple[int, ...]:
     """One-line notation of the product s_{i_1} s_{i_2} ... in S_{n+1}."""
     perm = list(range(1, n + 2))

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from references import is_chamber_set, root_as_simple_coords
 from test_words import staircase_tableaux_count
 
 from lusztig_cones import cone, pquiver, spanning, wiring
@@ -17,7 +18,6 @@ from lusztig_cones.words import (
     ReducedWord,
     commutation_class,
     enumerate_reduced_words,
-    root_as_simple_coords,
     root_ordering,
 )
 
@@ -104,7 +104,7 @@ def test_bijection():
             frozenset(s)
             for m in range(1, n + 2)
             for s in itertools.combinations(range(1, n + 2), m)
-            if wiring.is_chamber_set(s, n)
+            if is_chamber_set(s, n)
         ]
         assert len(legal) == 2 ** (n + 1) - 2 * (n + 1)
         for S in legal:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,16 +7,112 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_spanning import kill_children
 
 from lusztig_cones import cli, spanning
 from lusztig_cones.cli import main
+from lusztig_cones.words import root_ordering
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """(exit code, stdout, stderr) of one in-process call, without a pytest
+    fixture, so that a hypothesis test can make many."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_structured_error(code, out, err):
+    # exit 1, nothing on stdout, one JSON error line on stderr
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert isinstance(json.loads(err)["error"], str)
+
+
+# a comma-separated token with no decimal digit, which no int() accepts
+NOT_AN_INT = st.text(st.characters(exclude_categories=["Nd"], exclude_characters=","))
+
+
+def replaced(values, entries):
+    """``values`` with one entry, at an index drawn modulo its length,
+    replaced by one drawn from ``entries``."""
+    return st.tuples(st.integers(0, len(values) - 1), entries).map(
+        lambda c: values[: c[0]] + (c[1],) + values[c[0] + 1 :]
+    )
+
+
+def malformed(values, n=None):
+    """Comma-separated texts that differ from ``values`` so that no word
+    or point reads them: one entry too few or too many, a token that is no
+    integer, or, with ``n``, a letter outside [1, n]."""
+    options = [st.just(values[:-1]), st.just(values + (1,)), replaced(values, NOT_AN_INT)]
+    if n is not None:
+        options.append(replaced(values, st.integers(-(2**70), 2**70).filter(
+            lambda x: not 1 <= x <= n
+        )))
+    return st.one_of(options).map(lambda parts: ",".join(map(str, parts)))
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), t=st.integers(0, 2**16))
+    def test_spanning_positions_are_roots_in_root_order(self, n, seed, t):
+        word = spanning.random_word(n, seed, t)
+        code, out, err = run_captured(
+            "spanning", "--n", n, "--word", ",".join(map(str, word.letters)), "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        vectors = json.loads(out)["vectors"]
+        assert len(vectors) == word.k
+        for v in vectors:
+            assert v["position"] == [v["root"][f"({p},{q})"] for p, q in root_ordering(word)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        command=st.sampled_from(["roots", "chambers", "spanning", "member"]),
+        data=st.data(),
+    )
+    def test_malformed_word_is_structured_error(self, n, seed, command, data):
+        word = spanning.random_word(n, seed, 0)
+        text = data.draw(malformed(word.letters, n))
+        point = ["--point", ",".join(["0"] * word.k)] if command == "member" else []
+        assert_structured_error(*run_captured(command, "--n", n, f"--word={text}", *point))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        command=st.sampled_from(["member", "decompose"]),
+        data=st.data(),
+    )
+    def test_malformed_point_is_structured_error(self, n, seed, command, data):
+        word = spanning.random_word(n, seed, 0)
+        text = data.draw(malformed((0,) * word.k))
+        letters = ",".join(map(str, word.letters))
+        assert_structured_error(
+            *run_captured(command, "--n", n, "--word", letters, f"--point={text}")
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(option=st.sampled_from(["--word", "--point"]), text=st.text())
+    def test_any_text_exits_0_or_with_a_structured_error(self, option, text):
+        argv = {"--word": "1,3,2,1,3,2", "--point": "0,0,1,0,0,0", option: text}
+        code, out, err = run_captured("member", "--n", 3, *(f"{k}={v}" for k, v in argv.items()))
+        if code == 0:
+            assert err == ""
+        else:
+            assert_structured_error(code, out, err)
 
 
 class TestChambers:
@@ -81,6 +179,22 @@ class TestVerify:
             main(["verify", "--n", "3", "--mode", "sample", *extra])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_exhaustive_above_rank_22_is_structured_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "23", "--mode", "exhaustive")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "exhaustive verify takes rank at most 22, got 23: the walk's frontier "
+            "keys hold each lane as one byte below 255"
+        }
+
+    def test_sample_at_rank_23(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "23", "--mode", "sample", "--count", "1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 23, "checked": 1, "mismatches": []}
 
 
 class TestSpanning:
@@ -214,7 +328,9 @@ class TestErrors:
 
     def test_dead_verify_process_is_structured_error(self, capsys, monkeypatch):
         kill_children(monkeypatch)
-        code, out, err = run(capsys, "verify", "--n", "3", "--jobs", "2")
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--mode", "sample", "--count", "4", "--jobs", "2"
+        )
         assert (code, out) == (1, "")
         assert "exited with code 3" in json.loads(err)["error"]
 

@@ -321,6 +321,24 @@ class TestInversion:
             invert_unimodular(M)
 
 
+class TestCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_positions_round_trip(self, n, seed, t, data):
+        # position coordinates are root coordinates read in the word's
+        # root order, and back, for any integers
+        w = spanning.random_word(n, seed, t)
+        values = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=w.k, max_size=w.k))
+        v = RootVector(n, values)
+        assert RootVector.from_positions(w, v.to_positions(w)) == v
+        assert RootVector.from_positions(w, values).to_positions(w) == tuple(values)
+
+
 class TestMembership:
     def test_zero_vector(self):
         zero = RootVector.from_positions(FIG_WORD, (0,) * 6)

@@ -9,6 +9,7 @@ import random
 import re
 
 import pytest
+from references import weight_vector
 from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, TOP_BIT_COLUMNS, TOP_BIT_ROWS, packed
 from test_spanning import certify_no_leaf, chi_square, merge, plant_chamber_columns
 from test_wiring import legality_disagreements
@@ -88,7 +89,7 @@ def assert_every_word_reported(monkeypatch, planted):
 
 def half_down(members, n):
     """The component weight halved rounding down, not up."""
-    weight = spanning.weight_vector(partial_quiver_of(members, n))
+    weight = weight_vector(partial_quiver_of(members, n))
     return RootVector(n, tuple(x // 2 for x in weight.values))
 
 
@@ -97,7 +98,11 @@ def test_rounding_half_down_is_reported(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"n": 4, "mode": "exhaustive"}, {"n": 5, "mode": "sample", "count": 60, "seed": 7}]
+    "kwargs",
+    [
+        {"n": 4, "mode": "sample", "count": 40, "seed": 3},
+        {"n": 5, "mode": "sample", "count": 60, "seed": 7},
+    ],
 )
 def test_fan_out_reports_the_same_mismatches(monkeypatch, kwargs):
     # every process reports the planted defect, merged in word order; three

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import v_component, weight_vector
 from test_pquiver import reference_components
 from test_words import staircase_tableaux_count
 
@@ -35,12 +36,10 @@ from lusztig_cones.pquiver import (
 from lusztig_cones.spanning import (
     random_word,
     random_words,
-    v_component,
     v_partial_quiver,
     v_simple,
     verify_all,
     verify_theorem,
-    weight_vector,
 )
 from lusztig_cones.words import (
     ReducedWord,
@@ -288,13 +287,12 @@ def corrupt(monkeypatch, target):
     plant_chamber_columns(monkeypatch, bad)
 
 
-def plain_walk(n, depth=0, share=0, shares=1):
+def plain_walk(n):
     """The reference walker: every reduced word of w0, in the order of
     ``enumerate_reduced_words``, with whether the prefix tree certifies it:
     (word, certified).  It visits every node of the tree, and certifies as
     ``spanning._walk`` does, without the memo; ``opened`` holds (left lane,
-    ((lane, 1), ...)) per level.  Only the subtrees under the prefixes of
-    length ``depth`` whose rank is ``share`` modulo ``shares`` are walked."""
+    ((lane, 1), ...)) per level."""
     table = spanning.rank_table(n)
     k, width, mask = table.k, table.width, table.mask
     unit = [1 << width * j for j in range(k)]
@@ -310,15 +308,10 @@ def plain_walk(n, depth=0, share=0, shares=1):
     state = list(range(1, n + 2))
     below = [sum(1 << s for s in state[i:]) for i in range(n + 1)]
     opened = [None] * (n + 2)
-    prefix, frames, seen, i = [], [], 0, 1
+    prefix, frames, i = [], [], 1
     while True:
-        if i == 1:  # arrived at a node; a return from a child sets i past 1
-            if len(prefix) == depth:
-                if seen % shares != share:
-                    i = n + 1
-                seen += 1
-            if len(prefix) == k and i == 1:
-                yield words._reduced_by_construction(n, tuple(prefix)), not faults
+        if i == 1 and len(prefix) == k:  # arrived at a leaf
+            yield words._reduced_by_construction(n, tuple(prefix)), not faults
         while i <= n and state[i - 1] > state[i]:
             i += 1
         if i <= n:
@@ -365,10 +358,10 @@ def plain_walk(n, depth=0, share=0, shares=1):
             return
 
 
-def memo_walk(n, depth=0, share=0, shares=1):
+def memo_walk(n):
     """(words, states expanded, uncertified words) of ``spanning._walk``."""
     uncertified = []
-    count, expanded = spanning._walk(n, uncertified.append, depth, share, shares)
+    count, expanded = spanning._walk(n, uncertified.append)
     return count, expanded, uncertified
 
 
@@ -383,9 +376,9 @@ def certify_no_leaf(monkeypatch):
     both modes, through the per-word layers that a defect may be planted
     in."""
 
-    def walk(n, uncertified, depth=0, share=0, shares=1):
+    def walk(n, uncertified):
         count = 0
-        for count, (word, _) in enumerate(plain_walk(n, depth, share, shares), 1):
+        for count, (word, _) in enumerate(plain_walk(n), 1):
             uncertified(word)
         return count, None
 
@@ -607,6 +600,18 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
             verify_all(5, **kwargs)
 
+    def test_exhaustive_above_rank_22_raises_before_the_walk(self, monkeypatch):
+        # frontier keys hold lanes as bytes below 255: at most 253 roots, n = 22
+        def walk(n, uncertified):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(spanning, "_walk", walk)
+        assert spanning.rank_table(22).k == 253 and spanning.rank_table(23).k == 276
+        with pytest.raises(ValueError, match=r"^exhaustive verify takes rank at most 22, got 23:"):
+            verify_all(23, mode="exhaustive", jobs=2)
+        with pytest.raises(AssertionError, match="the walk started"):
+            verify_all(22, mode="exhaustive")
+
     def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
         # the columns are read off the chamber sets' bit masks: one
         # _packed_column call per distinct chamber set, no boundary list, no
@@ -713,10 +718,13 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("share", [0, 1])
     def test_jobs_error_in_a_share_names_the_word(self, monkeypatch, share):
-        # share 0 is the parent's, share 1 a child's: the first word of each
-        depth, shares = spanning._prefix_split(3, 2)
-        assert shares == 2
-        target, _ = next(plain_walk(3, depth, share, shares))
+        # share 0 is the parent's, share 1 a child's: word 0 and word 1 of
+        # the sample, which differ; two cores are reported, so that jobs=2
+        # starts a child on any machine
+        words_drawn = random_words(3, 2, 1)
+        assert words_drawn[0] != words_drawn[1]
+        target = words_drawn[share]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         certify_no_leaf(monkeypatch)
         real = wiring.build_wiring
 
@@ -727,13 +735,14 @@ class TestVerifyAll:
 
         monkeypatch.setattr(wiring, "build_wiring", fail_on_target)
         with pytest.raises(ValueError) as info:
-            verify_all(3, mode="exhaustive", jobs=2)
+            verify_all(3, mode="sample", count=2, seed=1, jobs=2)
         assert str(target.letters) in str(info.value)
         assert "ArithmeticError: planted failure" in str(info.value)
         assert multiprocessing.active_children() == []
 
-    def test_jobs_leave_no_process(self):
-        report = verify_all(3, mode="exhaustive", jobs=2)
+    def test_jobs_leave_no_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = verify_all(3, mode="sample", count=16, jobs=2)
         assert (report.checked, report.mismatches) == (16, [])
         assert multiprocessing.active_children() == []
 
@@ -747,7 +756,7 @@ class TestVerifyAll:
         signal.alarm(30)
         try:
             with pytest.raises(ValueError, match=r"^share 1: .* exited with code 3 "):
-                verify_all(3, mode="exhaustive", jobs=2)
+                verify_all(3, mode="sample", count=4, jobs=2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -756,8 +765,9 @@ class TestVerifyAll:
     @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
     def test_jobs_capped_at_the_cores(self, monkeypatch, mode):
         # at most os.cpu_count() processes, whatever jobs asks for: with
-        # three cores no more than two children start, and the report,
-        # planted mismatches included, is the same for every jobs
+        # three cores a sampled run starts no more than two children, an
+        # exhaustive run none, and the report, planted mismatches included,
+        # is the same for every jobs
         corrupt(monkeypatch, PartialQuiver.from_string("-R", 3))
         started = []
         real = multiprocessing.Process.start
@@ -773,7 +783,7 @@ class TestVerifyAll:
         for jobs, children in [(1, 0), (2, 1), (3, 2), (4, 2), (5000, 2)]:
             started.clear()
             assert verify_all(3, mode=mode, count=40, seed=2, jobs=jobs).to_json() == serial
-            assert len(started) == children
+            assert len(started) == (children if mode == "sample" else 0)
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
         started.clear()
         assert verify_all(3, mode=mode, count=40, seed=2, jobs=5000).to_json() == serial
@@ -781,9 +791,10 @@ class TestVerifyAll:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
-        "n, mode, count, checked", [(2, "exhaustive", 1, 2), (5, "sample", 2, 2)]
+        "n, mode, count, checked", [(3, "sample", 3, 3), (5, "sample", 2, 2)]
     )
     def test_jobs_start_no_process_for_an_empty_share(self, monkeypatch, n, mode, count, checked):
+        # four cores are reported, so that only count limits the processes
         started = []
         real = multiprocessing.Process.start
 
@@ -792,9 +803,32 @@ class TestVerifyAll:
             real(self)
 
         monkeypatch.setattr(multiprocessing.Process, "start", start)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         report = verify_all(n, mode=mode, count=count, jobs=4)
         assert (report.checked, report.mismatches) == (checked, [])
-        assert len(started) == 1
+        assert len(started) == count - 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count, jobs", [(2, 2), (3, 2), (4, 2), (4, 3), (4, 5)])
+    def test_jobs_shares_partition_the_indices(self, monkeypatch, count, jobs):
+        # share i of s draws the words i, i+s, ...: every index once, and
+        # no share empty
+        drawn, real = [], spanning.random_word
+
+        def draw(n, seed, t):
+            drawn.append(t)
+            return real(n, seed, t)
+
+        monkeypatch.setattr(spanning, "random_word", draw)
+        shares = min(jobs, count)
+        parts = []
+        for share in range(shares):
+            drawn.clear()
+            checked, mismatches = spanning._check_sample(3, count, 0, share, shares)
+            assert (checked, mismatches) == (len(drawn), [])
+            parts.append(list(drawn))
+        assert all(parts)
+        assert sorted(itertools.chain.from_iterable(parts)) == list(range(count))
 
 
 class TestWalk:
@@ -1000,20 +1034,6 @@ class TestWalk:
         with pytest.raises(ValueError, match=message + "planted failure"):
             verify_all(3)
 
-    @pytest.mark.parametrize("n, jobs", [(2, 2), (3, 2), (4, 2), (4, 3), (4, 5)])
-    def test_shares_partition_the_words(self, n, jobs):
-        every = [w.letters for w in enumerate_reduced_words(n)]
-        depth, shares = spanning._prefix_split(n, jobs)
-        nodes = len({letters[:depth] for letters in every})
-        # the least depth with 8·jobs prefixes, or the leaves
-        assert nodes >= 8 * jobs or depth == len(every[0])
-        assert depth == 0 or len({letters[: depth - 1] for letters in every}) < 8 * jobs
-        assert shares == min(jobs, nodes)
-        parts = [[w.letters for w, _ in plain_walk(n, depth, i, shares)] for i in range(shares)]
-        assert all(parts)
-        assert sorted(itertools.chain.from_iterable(parts)) == every
-        assert [memo_walk(n, depth, i, shares)[0] for i in range(shares)] == list(map(len, parts))
-
     def test_memo_is_released_after_each_call(self):
         # a memo kept alive past its call (a reference cycle, a cache) would
         # raise the peak RSS of a process that calls verify_all often.  The
@@ -1207,15 +1227,15 @@ def kill_children(monkeypatch):
     """Make every process but this one exit with code 3 when it starts its
     share, before its first word, without sending a result.  Two cores are
     reported, so that ``jobs=2`` starts a child on any machine."""
-    parent, real = os.getpid(), spanning._check_share
+    parent, real = os.getpid(), spanning._check_sample
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def check_share(*args):
+    def check_sample(*args):
         if os.getpid() != parent:
             os._exit(3)
         return real(*args)
 
-    monkeypatch.setattr(spanning, "_check_share", check_share)
+    monkeypatch.setattr(spanning, "_check_sample", check_sample)
 
 
 def chi_square(sample, n):

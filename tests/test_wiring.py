@@ -4,20 +4,19 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
+from references import is_chamber_set, root_as_simple_coords
 
 from lusztig_cones import wiring
 from lusztig_cones.wiring import (
     build_wiring,
     chambers,
     diagram_json,
-    is_chamber_set,
     render,
 )
 from lusztig_cones.words import (
     ReducedWord,
     commutation_class,
     enumerate_reduced_words,
-    root_as_simple_coords,
     root_ordering,
 )
 
