@@ -18,7 +18,7 @@ import sys
 
 from . import cone, pquiver, spanning, wiring
 from .cone import RootVector, SimpleRootLabel
-from .words import ReducedWord, enumerate_reduced_words, root_ordering
+from .words import ReducedWord, _root_index, enumerate_reduced_words, root_ordering
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -89,6 +89,9 @@ def cmd_cone_matrix(args) -> int:
 def cmd_spanning(args) -> int:
     word = _word(args)
     report = spanning.verify_theorem(word)
+    # the root index of each position, from one root ordering of the word
+    order = [_root_index(word.n, root) for root in root_ordering(word)]
+    positions = [[v.inverse.values[i] for i in order] for v in report.verdicts]
     if args.format == "json":
         payload = {
             **word.to_json(),
@@ -98,17 +101,17 @@ def cmd_spanning(args) -> int:
                     "label": v.label.to_json(),
                     "coords": "root",
                     "root": v.inverse.to_json(),
-                    "position": list(v.inverse.to_positions(word)),
+                    "position": pos,
                     "matches_formula": v.equal,
                 }
-                for v in report.verdicts
+                for v, pos in zip(report.verdicts, positions)
             ],
         }
         _emit_json(payload, args.out)
     else:
         lines = []
-        for v in report.verdicts:
-            pos = ",".join(str(x) for x in v.inverse.to_positions(word))
+        for v, coords in zip(report.verdicts, positions):
+            pos = ",".join(str(x) for x in coords)
             mark = "ok" if v.equal else "MISMATCH"
             lines.append(f"{_label_text(v.label):>14}  position=({pos})  {mark}\n")
         args.out.write("".join(lines))

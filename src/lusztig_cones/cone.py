@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Union
 
 from .wiring import build_wiring, chambers
-from .words import ReducedWord, all_positive_roots, root_ordering
+from .words import ReducedWord, _root_index, all_positive_roots, root_ordering
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,6 @@ class RootVector:
         return {f"({p},{q})": v for (p, q), v in self.to_dict().items()}
 
 
-def _root_index(n: int, root) -> int:
-    p, q = root
-    if not 1 <= p < q <= n + 1:
-        raise KeyError(f"({p},{q}) is not a positive root of A_{n}")
-    # roots with first entry < p, then offset within block p
-    return (p - 1) * (2 * n + 2 - p) // 2 + (q - p - 1)
-
-
 @dataclass(frozen=True)
 class ConeMatrix:
     """Labeled k x k matrix of defining inequalities, position coordinates."""
@@ -132,13 +124,14 @@ def root_rows(n: int, chamber_list) -> tuple:
     tuple of (index into ``RootVector.values``, coefficient) pairs: the unit
     row of each simple root (j, j+1), then one row per chamber in the given
     order, -1 at its left and right crossings and +1 at the crossings above
-    and below it.  ``row_labels`` names them.
+    and below it, each at the root index its crossing recorded in the
+    trace.  ``row_labels`` names them.
     """
     rows = [((_root_index(n, (j, j + 1)), 1),) for j in range(1, n + 1)]
     for ch in chamber_list:
         rows.append(
-            ((_root_index(n, ch.left.strings), -1), (_root_index(n, ch.right.strings), -1))
-            + tuple((_root_index(n, c.strings), 1) for c in ch.above + ch.below)
+            ((ch.left.root_index, -1), (ch.right.root_index, -1))
+            + tuple([(c.root_index, 1) for c in ch.above + ch.below])
         )
     return tuple(rows)
 
@@ -148,7 +141,7 @@ def cone_matrix(word: ReducedWord) -> ConeMatrix:
     position of the minimal pair, in position coordinates."""
     diagram = build_wiring(word)
     chamber_list = chambers(diagram)
-    position = {_root_index(word.n, c.strings): c.pos - 1 for c in diagram.crossings}
+    position = {c.root_index: c.pos - 1 for c in diagram.crossings}
     dense = []
     for row in root_rows(word.n, chamber_list):
         values = [0] * word.k

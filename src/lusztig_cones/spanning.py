@@ -212,13 +212,14 @@ def v_partial_quiver(P: PartialQuiver) -> RootVector:
 
 def formula_vectors(n: int, chamber_list) -> list[int]:
     """The closed-form columns packed as in ``rank_table(n)``, in the order
-    of ``cone.row_labels``: ``v_simple(j)``, then each ``chamber_column``.
-    An illegal chamber set raises ValueError naming the chamber's pair."""
+    of ``cone.row_labels``: ``v_simple(j)``, then each ``chamber_column``,
+    read off the chamber's mask.  An illegal chamber set raises ValueError
+    naming the chamber's pair."""
     table = rank_table(n)
     columns = list(table.simple)
     for c in chamber_list:
         try:
-            columns.append(_packed_column(table, _strings_mask(c.chamber_set, n)))
+            columns.append(_packed_column(table, c.mask))
         except ValueError as exc:
             raise ValueError(f"chamber ({c.left_pos}, {c.right_pos}): {exc}") from exc
     return columns

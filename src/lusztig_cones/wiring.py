@@ -5,13 +5,23 @@ endpoints.  Above the j-th letter ``i_j`` the strings currently at levels
 ``i_j`` and ``i_j + 1`` (from the top) cross.  Bounded chambers correspond
 to minimal pairs of equal letters; each is labelled by its chamber set,
 the set of strings passing below it.
+
+``build_wiring`` traces a word once, in one pass over its letters, and
+records all that the per-word layers read: each crossing with its root
+index, and each bounded chamber where it closes, with its crossings one
+level up and one level down and its chamber set as a bit mask, string s
+at bit s (the convention of ``spanning._packed_column``).  ``chambers``,
+the cone's rows and the closed-form columns read these records.  Sets of
+strings and the diagram's profiles are derived from them only where they
+are printed or compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .words import ReducedWord
+from .words import ReducedWord, _root_index
 
 
 @dataclass(frozen=True)
@@ -19,6 +29,7 @@ class Crossing:
     pos: int  # 1-based position in the word
     level: int  # the letter: crossing of levels (level, level+1)
     strings: tuple[int, int]  # the two strings, (p, q) with p < q
+    root_index: int  # the place of the root (p, q) in ``all_positive_roots(n)``
 
 
 @dataclass(frozen=True)
@@ -28,19 +39,36 @@ class Chamber:
     left_pos: int
     right_pos: int
     level: int
-    chamber_set: frozenset[int]
+    mask: int  # the chamber set: the strings below the chamber, string s at bit s
     left: Crossing
     right: Crossing
     above: tuple[Crossing, ...]  # crossings at level-1 strictly between
     below: tuple[Crossing, ...]  # crossings at level+1 strictly between
+
+    @property
+    def chamber_set(self) -> frozenset[int]:
+        """The strings passing below the chamber: the set bits of ``mask``."""
+        mask = self.mask
+        return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 @dataclass(frozen=True)
 class WiringDiagram:
     word: ReducedWord
     crossings: tuple[Crossing, ...]
-    # profiles[j] = strings top-to-bottom after the first j crossings
-    profiles: tuple[tuple[int, ...], ...]
+    chambers: tuple[Chamber, ...]  # the bounded chambers, by left position
+
+    @cached_property
+    def profiles(self) -> tuple[tuple[int, ...], ...]:
+        """profiles[j] = strings top-to-bottom after the first j crossings,
+        replayed from the crossings."""
+        state = list(range(1, self.word.n + 2))
+        profiles = [tuple(state)]
+        for c in self.crossings:
+            i = c.level
+            state[i - 1], state[i] = state[i], state[i - 1]
+            profiles.append(tuple(state))
+        return tuple(profiles)
 
 
 def chamber_boundary(members, n: int) -> list[int]:
@@ -55,56 +83,54 @@ def chamber_boundary(members, n: int) -> list[int]:
 
 
 def build_wiring(word: ReducedWord) -> WiringDiagram:
-    """Trace the strings of the word's wiring diagram.
+    """Trace the strings of the word's wiring diagram, in one pass over its
+    letters.
 
-    This is the one trace of a word: crossings (labelled by the induced
-    root ordering), chambers and the cone's defining rows all derive from
-    it.
+    This is the one trace of a word: the root ordering of its crossings,
+    its chambers, the cone's defining rows and the closed-form columns all
+    read what it records.  Each level keeps its last crossing, the
+    crossings one level up and one level down since then, and the strings
+    under it as a bit mask.  A crossing at level i closes the chamber that
+    the last crossing there opened, if there was one: its chamber set is
+    the mask of level i, which no crossing in between has changed.  The
+    crossing then swaps the strings at levels i and i+1, which changes the
+    mask of level i alone.  Legality of the chamber sets is not checked
+    here; ``chamber_boundary`` rejects an illegal one.
     """
-    state = list(range(1, word.n + 2))
-    profiles = [tuple(state)]
+    n = word.n
+    state = list(range(1, n + 2))
+    under = [(1 << n + 2) - (2 << i) for i in range(n + 1)]  # level -> strings under it
+    last = [None] * (n + 2)  # level -> its last crossing
+    above = [[] for _ in range(n + 2)]  # level -> crossings one level up since its last
+    below = [[] for _ in range(n + 2)]  # level -> crossings one level down since its last
     crossings = []
+    by_left = [None] * (word.k + 1)  # left position -> the chamber it opens
     for j, i in enumerate(word.letters, start=1):
         a, b = state[i - 1], state[i]
-        crossings.append(Crossing(pos=j, level=i, strings=(a, b) if a < b else (b, a)))
+        strings = (a, b) if a < b else (b, a)
+        c = Crossing(j, i, strings, _root_index(n, strings))
+        crossings.append(c)
+        left = last[i]
+        if left is not None:
+            by_left[left.pos] = Chamber(
+                left.pos, j, i, under[i], left, c, tuple(above[i]), tuple(below[i])
+            )
+        last[i], above[i], below[i] = c, [], []
+        above[i + 1].append(c)
+        below[i - 1].append(c)
         state[i - 1], state[i] = b, a
-        profiles.append(tuple(state))
-    return WiringDiagram(word=word, crossings=tuple(crossings), profiles=tuple(profiles))
+        under[i] ^= 1 << a | 1 << b
+    return WiringDiagram(
+        word=word,
+        crossings=tuple(crossings),
+        chambers=tuple(ch for ch in by_left if ch is not None),
+    )
 
 
 def chambers(diagram: WiringDiagram) -> list[Chamber]:
-    """All bounded chambers, ordered by left position.
-
-    One pass over the crossings: the last crossing seen at each level opens
-    a chamber there, which the next crossing at that level closes.  The
-    crossings one level up or down in between are its ``above`` and
-    ``below``.  Legality of the chamber sets is not re-checked here;
-    ``chamber_boundary`` rejects an illegal one.
-    """
-    open_at: dict[int, tuple[Crossing, list, list]] = {}
-    result = []
-    for c in diagram.crossings:
-        if c.level + 1 in open_at:
-            open_at[c.level + 1][1].append(c)
-        if c.level - 1 in open_at:
-            open_at[c.level - 1][2].append(c)
-        if c.level in open_at:
-            left, above, below = open_at[c.level]
-            result.append(
-                Chamber(
-                    left_pos=left.pos,
-                    right_pos=c.pos,
-                    level=c.level,
-                    chamber_set=frozenset(diagram.profiles[left.pos][c.level :]),
-                    left=left,
-                    right=c,
-                    above=tuple(above),
-                    below=tuple(below),
-                )
-            )
-        open_at[c.level] = (c, [], [])
-    result.sort(key=lambda ch: ch.left_pos)
-    return result
+    """All bounded chambers, ordered by left position: the records of
+    ``build_wiring``, read without a second pass over the crossings."""
+    return list(diagram.chambers)
 
 
 def diagram_json(diagram: WiringDiagram) -> dict:
@@ -181,10 +207,11 @@ def _render_svg(diagram: WiringDiagram) -> str:
         f'viewBox="0 0 {width} {height}">',
     ]
     # level of each string after j crossings, from the profiles
+    profiles = diagram.profiles
     for s in range(1, n + 2):
         points = []
         for j in range(k + 1):
-            level = diagram.profiles[j].index(s) + 1
+            level = profiles[j].index(s) + 1
             points.append(f"{(j + 1) * u},{level * u}")
         out.append(
             f'<polyline points="{" ".join(points)}" '

@@ -26,6 +26,15 @@ def all_positive_roots(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 2)]
 
 
+def _root_index(n: int, root) -> int:
+    """The place of the root (p, q) in ``all_positive_roots(n)``."""
+    p, q = root
+    if not 1 <= p < q <= n + 1:
+        raise KeyError(f"({p},{q}) is not a positive root of A_{n}")
+    # roots with first entry < p, then offset within block p
+    return (p - 1) * (2 * n + 2 - p) // 2 + (q - p - 1)
+
+
 def permutation_of(letters: tuple[int, ...], n: int) -> tuple[int, ...]:
     """One-line notation of the product s_{i_1} s_{i_2} ... in S_{n+1}."""
     perm = list(range(1, n + 2))

@@ -1,9 +1,11 @@
 """Definitions that only the tests use, as references for the package's
 own forms: a root in simple-root coordinates, the legality of a chamber
-set, and the component indicator and weight vectors of the paper."""
+set, the sparse rows of the defining matrix, and the component indicator
+and weight vectors of the paper."""
 
 from lusztig_cones import pquiver, spanning
 from lusztig_cones.cone import RootVector
+from lusztig_cones.words import _root_index
 
 
 def root_as_simple_coords(root: tuple[int, int], n: int) -> tuple[int, ...]:
@@ -18,6 +20,18 @@ def is_chamber_set(members, n: int) -> bool:
     m = len(s)  # the empty set is the initial interval [1, 0]
     initial, final = set(range(1, m + 1)), set(range(n + 2 - m, n + 2))
     return s <= set(range(1, n + 2)) and s != initial and s != final
+
+
+def root_rows(n: int, chamber_list) -> tuple:
+    """The rows of ``cone.root_rows``, with the root index of every entry
+    computed from its crossing's strings."""
+    rows = [((_root_index(n, (j, j + 1)), 1),) for j in range(1, n + 1)]
+    for ch in chamber_list:
+        rows.append(
+            ((_root_index(n, ch.left.strings), -1), (_root_index(n, ch.right.strings), -1))
+            + tuple((_root_index(n, c.strings), 1) for c in ch.above + ch.below)
+        )
+    return tuple(rows)
 
 
 def v_component(Y: pquiver.Component, n: int) -> RootVector:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spanning import kill_children
 
-from lusztig_cones import cli, spanning
+from lusztig_cones import cli, cone, spanning, words
 from lusztig_cones.cli import main
 from lusztig_cones.words import root_ordering
 
@@ -212,6 +212,22 @@ class TestSpanning:
         assert [v["position"] for v in payload["vectors"]] == [
             list(col) for col in span.columns
         ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_root_ordering_per_command(self, capsys, monkeypatch, fmt):
+        # the positions of all k vectors are read through one root ordering
+        # of the word, not one per vector
+        calls = []
+        for module in (cli, cone, words):
+            real = module.root_ordering
+            monkeypatch.setattr(
+                module, "root_ordering", lambda w, real=real: calls.append(w) or real(w)
+            )
+        word = spanning.random_word(6, 1, 0)
+        letters = ",".join(map(str, word.letters))
+        code, out, _ = run(capsys, "spanning", "--n", "6", "--word", letters, "--format", fmt)
+        assert code == 0 and out.count("\n") >= word.k
+        assert calls == [word]
 
 
 class TestMember:

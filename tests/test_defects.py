@@ -143,13 +143,14 @@ def test_single_boundary_point_accepted_is_caught(monkeypatch):
 
 
 def test_shifted_chamber_set_is_reported_or_raises(monkeypatch):
-    # every string of every chamber set moved one down, n+1 back to 1
+    # every string of every chamber set moved one down, n+1 back to 1,
+    # planted through the chamber's mask, string s at bit s
     real = wiring.chambers
 
     def shifted(diagram):
         m = diagram.word.n + 1
         return [
-            dataclasses.replace(c, chamber_set=frozenset(s % m + 1 for s in c.chamber_set))
+            dataclasses.replace(c, mask=sum(1 << s % m + 1 for s in c.chamber_set))
             for c in real(diagram)
         ]
 

@@ -2,11 +2,14 @@ import itertools
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
+import references
 from references import is_chamber_set, root_as_simple_coords
 
-from lusztig_cones import wiring
+from lusztig_cones import cone, spanning, wiring
+from lusztig_cones.spanning import random_words
 from lusztig_cones.wiring import (
     build_wiring,
     chambers,
@@ -15,12 +18,14 @@ from lusztig_cones.wiring import (
 )
 from lusztig_cones.words import (
     ReducedWord,
+    _root_index,
     commutation_class,
     enumerate_reduced_words,
     root_ordering,
 )
 
 FIG_WORD = ReducedWord(3, (1, 3, 2, 1, 3, 2))
+GOLDEN_RENDER = Path(__file__).parent / "golden_render"
 
 
 class TestBuildWiring:
@@ -95,21 +100,49 @@ class TestChambers:
                 ]
                 assert lhs == rhs
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_chambers_match_profile_scan(self, n):
+    @pytest.mark.parametrize(
+        "n, words",
+        [(n, None) for n in (2, 3, 4)] + [(5, 2000), (12, 100)],
+        ids=["2", "3", "4", "5-sampled", "12-sampled"],
+    )
+    def test_chambers_match_profile_scan(self, n, words):
         # the strings below a chamber are constant across its x-range, and
         # its above/below crossings are the letters in between one level up
-        # or down
-        for w in enumerate_reduced_words(n):
+        # or down; what the trace records for the per-word layers (masks,
+        # root indices) gives the columns and rows of the sets and strings.
+        # Every word up to n = 4; at n = 5 (292864 words, over a minute under
+        # pytest on a 2-core VM) and n = 12, uniform samples
+        words = enumerate_reduced_words(n) if words is None else random_words(n, words, 918273)
+        table = spanning.rank_table(n)
+        for w in words:
             d = build_wiring(w)
-            for c in chambers(d):
-                for x in range(c.left_pos, c.right_pos):
-                    assert frozenset(d.profiles[x][c.level :]) == c.chamber_set
+            profiles = d.profiles
+            chamber_list = chambers(d)
+            for c in chamber_list:
+                members = c.chamber_set
+                assert all(
+                    frozenset(profiles[x][c.level :]) == members
+                    for x in range(c.left_pos, c.right_pos)
+                )
+                assert c.mask == sum(1 << s for s in members)
+                assert c.left == d.crossings[c.left_pos - 1]
+                assert c.right == d.crossings[c.right_pos - 1]
                 between = d.crossings[c.left_pos : c.right_pos - 1]
                 assert c.above == tuple(x for x in between if x.level == c.level - 1)
                 assert c.below == tuple(x for x in between if x.level == c.level + 1)
                 assert w.letters[c.left_pos - 1] == w.letters[c.right_pos - 1] == c.level
                 assert c.level not in {x.level for x in between}
+            assert [c.left_pos for c in chamber_list] == sorted(
+                j for j, i in enumerate(w.letters, 1) if i in w.letters[j:]
+            )
+            assert [c.root_index for c in d.crossings] == [
+                _root_index(n, c.strings) for c in d.crossings
+            ]
+            assert spanning.formula_vectors(n, chamber_list) == list(table.simple) + [
+                spanning._packed_column(table, spanning._strings_mask(c.chamber_set, n))
+                for c in chamber_list
+            ]
+            assert cone.root_rows(n, chamber_list) == references.root_rows(n, chamber_list)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_legal_chamber_sets_occur(self, n):
@@ -200,6 +233,14 @@ class TestRender:
         d2 = build_wiring(ReducedWord(3, (1, 3, 2, 1, 3, 2)))
         for fmt in ("ascii", "svg"):
             assert render(d1, fmt) == render(d2, fmt)
+
+    @pytest.mark.parametrize(
+        "name, word", [("figure", FIG_WORD), ("rank_one", ReducedWord(1, (1,)))]
+    )
+    @pytest.mark.parametrize("fmt, suffix", [("ascii", "txt"), ("svg", "svg")])
+    def test_golden(self, name, word, fmt, suffix):
+        # the rendering, byte for byte, as committed in tests/golden_render
+        assert render(build_wiring(word), fmt) == (GOLDEN_RENDER / f"{name}.{suffix}").read_text()
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
