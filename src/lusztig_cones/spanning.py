@@ -37,8 +37,8 @@ four regions around each crossing, one over its crossings that sums them
 (``_certified``); an exhaustive run takes one step per letter
 (``_Sweep``) along the prefix tree of reduced words (``_walk``), where
 every word below a node shares the chambers closed above it and every
-prefix has its acc_j.  A certified word builds no diagram, vector, label
-or verdict.
+prefix has its acc_j, each child stepped on a copy of its parent's sweep.
+A certified word builds no diagram, vector, label or verdict.
 Equal frontiers share one subtree.  Below a node the walk reads only the
 strings, the lanes of the chamber open at each level, their acc_j and
 w_j, and whether every other crossed lane is clean and every closed
@@ -92,13 +92,11 @@ class RankTable:
     every column, and so does ``mask``, the mask of the column-sum
     certificate, whose column weights stop at 7.
 
-    ``lane[p][q]`` is the lane of the root (p, q), ``unit[j]`` is
-    1 << width·j, and ``lanes[j]`` is lane j as a one-element sequence:
-    bytes while every lane is below 255, the separator of the walk's keys
-    (``_frontier``), else a tuple.  Before the first letter the simple
-    rows and columns are in: ``acc`` and ``weight`` hold the column sums
-    and weights of V·M, ``faults`` the simple columns that fail ``mask``, and
-    ``below[i]`` the strings under level i, as a bit mask.
+    ``lane[p][q]`` is the lane of the root (p, q) and ``unit[j]`` is
+    1 << width·j.  Before the first letter the simple rows and columns are
+    in: ``acc`` and ``weight`` hold the column sums and weights of V·M,
+    ``faults`` the simple columns that fail ``mask``, and ``below[i]`` the
+    strings under level i, as a bit mask.
     """
 
     def __init__(self, n: int):
@@ -115,7 +113,6 @@ class RankTable:
             lane[p][q] = j
         self.lane = tuple(map(tuple, lane))
         self.unit = tuple(1 << width * j for j in range(k))
-        self.lanes = tuple(bytes((j,)) if k <= 255 else (j,) for j in range(k))
         acc, weight = [0] * k, [0] * k
         for j, column in enumerate(self.simple, 1):
             acc[lane[j][j + 1]] += column
@@ -246,20 +243,17 @@ class TheoremReport:
         return all(v.equal for v in self.verdicts)
 
 
-def _verdicts(word: ReducedWord, passing: bool):
+def _verdicts(word: ReducedWord):
     """(verdicts, chambers) of the word, traced once.  A certified V is
-    M^-1: None, or with ``passing`` its own columns as the inverses.
-    Otherwise the rows are inverted exactly (``cone.checked_inverse``); if
-    that gives V after all, the certificate is at fault: CertificateError."""
+    M^-1, and its own columns are the inverses.  Otherwise the rows are
+    inverted exactly (``cone.checked_inverse``); if that gives V after all,
+    the certificate is at fault: CertificateError."""
     n, table = word.n, rank_table(word.n)
     chamber_list = wiring.chambers(wiring.build_wiring(word))
     rows, packed = cone.root_rows(n, chamber_list), formula_vectors(n, chamber_list)
-    passed = cone.certify_inverse(rows, packed, table.width)
-    if passed and not passing:
-        return None
     labels = cone.row_labels(n, chamber_list)
     formulas = inverses = [table.vector(x) for x in packed]
-    if not passed:
+    if not cone.certify_inverse(rows, packed, table.width):
         _, columns = cone.checked_inverse(labels, rows)
         inverses = [RootVector(n, col) for col in columns]
         if inverses == formulas:
@@ -270,7 +264,7 @@ def _verdicts(word: ReducedWord, passing: bool):
 
 def verify_theorem(word: ReducedWord) -> TheoremReport:
     """Closed-form vector against inverse column, per row label (``_verdicts``)."""
-    return TheoremReport(word=word, verdicts=_verdicts(word, True)[0])
+    return TheoremReport(word=word, verdicts=_verdicts(word)[0])
 
 
 def random_word(n: int, seed: int, t: int) -> ReducedWord:
@@ -341,9 +335,8 @@ def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes
     lanes' w_j, one byte each, and their acc_j, ``size`` signed bytes each,
     in the order of each lane's first appearance.  The strings and entries
     fix how many lanes follow and every value has a fixed width, so equal
-    keys are equal frontiers; a value too large for its bytes raises, and
-    so does a rank with more than 255 positive roots, n > ``_WALK_MAX_RANK``,
-    where ``RankTable.lanes`` are tuples and joining them raises TypeError."""
+    keys are equal frontiers; a value too large for its bytes raises.  The
+    lanes are ``_Sweep.lanes``, one byte each, so n <= ``_WALK_MAX_RANK``."""
     sides = b"\xff".join(opened + lower)
     lanes = dict.fromkeys(sides)
     del lanes[255]
@@ -359,8 +352,7 @@ def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes
 class _Sweep:
     """A word's wiring trace, letter by letter, with the counters of the
     certificate: the step that ``_walk`` takes at each node of the prefix
-    tree, where every prefix needs its acc_j for the frontier key and every
-    step must be undone on the way back.
+    tree, where every prefix needs its acc_j for the frontier key.
 
     ``push(i)`` swaps the strings at levels i and i+1, whose crossing is
     the root of lane r, and closes the chamber open at level i, if one is:
@@ -376,9 +368,10 @@ class _Sweep:
     ``faults`` counts the crossed lanes j with acc_j != 1 << width·j,
     those with w_j > 7, and the closed chambers whose column is illegal or
     fails ``RankTable.mask``.  The simple rows and columns are in from the
-    root (``RankTable``).  ``push`` returns the frame with which
-    ``pop(i, frame)`` undoes it: the sides it replaced, and the row's
-    lanes with what it added to their acc_j, which ``pop`` takes off again.
+    root (``RankTable``).  ``lanes[j]`` is lane j as one byte below the
+    keys' separator 255 (``_frontier``), so n <= ``_WALK_MAX_RANK``.
+    ``push`` works in place and is never undone: ``_walk`` pushes each
+    child on a ``copy()`` of its parent.
 
     The two sides make every prefix of one commutation class reach the
     same sweep.  Two letters at one level never commute, nor do letters at
@@ -408,25 +401,39 @@ class _Sweep:
     """
 
     __slots__ = (
-        "table", "state", "below", "opened", "lower", "acc", "weight", "faults", "columns"
+        "table", "lanes", "state", "below", "opened", "lower", "acc", "weight", "faults",
+        "columns",
     )
 
     def __init__(self, table: RankTable):
+        if table.n > _WALK_MAX_RANK:
+            raise ValueError(f"the sweep takes rank at most {_WALK_MAX_RANK}, got {table.n}")
         self.table = table
+        self.lanes = tuple(bytes((j,)) for j in range(table.k))  # lane j as one byte
         self.state = list(range(1, table.n + 2))  # the strings, top to bottom
         self.below = list(table.below)
-        empty = table.lanes[0][:0]
-        self.opened = [empty] * (table.n + 2)  # level i -> left crossing, crossings at i-1
-        self.lower = [empty] * (table.n + 2)  # level i -> crossings at i+1
+        self.opened = [b""] * (table.n + 2)  # level i -> left crossing, crossings at i-1
+        self.lower = [b""] * (table.n + 2)  # level i -> crossings at i+1
         self.acc, self.weight, self.faults = list(table.acc), list(table.weight), table.faults
         self.columns = {}  # chamber set, as a bit mask of strings -> its column, None if it raised
 
-    def push(self, i: int) -> tuple:
+    def copy(self) -> _Sweep:
+        """A sweep in the same state, whose pushes leave this one as it is:
+        its own six lists, and this one's table, lanes and column memo (the
+        memo only gains columns, which hold in every sweep of the rank)."""
+        other = _Sweep.__new__(_Sweep)
+        other.table, other.lanes, other.columns = self.table, self.lanes, self.columns
+        other.state, other.below = self.state.copy(), self.below.copy()
+        other.opened, other.lower = self.opened.copy(), self.lower.copy()
+        other.acc, other.weight, other.faults = self.acc.copy(), self.weight.copy(), self.faults
+        return other
+
+    def push(self, i: int) -> None:
         table, state, opened, lower = self.table, self.state, self.opened, self.lower
         acc, weight, unit = self.acc, self.weight, table.unit
         a, b = state[i - 1], state[i]
         r, left, under, down = table.lane[a][b], opened[i], lower[i], opened[i + 1]
-        crossing, row = table.lanes[r], ()
+        crossing = self.lanes[r]
         faults = self.faults + (acc[r] != unit[r]) + (weight[r] > 7)  # r is crossed now
         if left:
             members, columns = self.below[i], self.columns
@@ -440,36 +447,20 @@ class _Sweep:
                 faults += 1
                 column = 0
             # -column to the left and right crossings, +column to both sides
-            row = ((left[:1] + crossing, -column), (left[1:] + under, column))
-            for lanes, d in row:
+            for lanes, d in ((left[:1] + crossing, -column), (left[1:] + under, column)):
                 for j in lanes:
                     x, w = acc[j], weight[j]
                     acc[j] = y = x + d
                     weight[j] = w + 1
                     faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
-        frame = (self.faults, left, under, lower[i - 1], down, row)
         if opened[i - 1]:
             lower[i - 1] += crossing
         if down:
             opened[i + 1] = down + crossing
-        opened[i], lower[i] = crossing, crossing[:0]
+        opened[i], lower[i] = crossing, b""
         state[i - 1], state[i] = b, a
         self.below[i] ^= 1 << a | 1 << b
         self.faults = faults
-        return frame
-
-    def pop(self, i: int, frame: tuple) -> None:
-        state, opened, lower, acc, weight = (
-            self.state, self.opened, self.lower, self.acc, self.weight
-        )
-        self.faults, opened[i], lower[i], lower[i - 1], opened[i + 1], row = frame
-        for lanes, d in row:
-            for j in lanes:
-                acc[j] -= d
-                weight[j] -= 1
-        a, b = state[i - 1], state[i]
-        state[i - 1], state[i] = b, a
-        self.below[i] ^= 1 << a | 1 << b
 
 
 def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
@@ -536,10 +527,12 @@ def _walk(n: int, uncertified):
     ``uncertified`` on each word it does not certify, in the order of
     ``enumerate_reduced_words``: (words, internal nodes expanded).
 
-    Depth first over reduced prefixes, one step of the sweep per node
-    (``_Sweep``): a chamber's row and column are fixed where it closes,
-    and every word below shares them.  Backtracking undoes the step.  At a
-    leaf the word is certified iff ``faults`` is 0.
+    A recursion over reduced prefixes, letters smallest first, with one
+    step of the sweep per node (``_Sweep``), taken on a copy of the
+    parent's: a chamber's row and column are fixed where it closes, and
+    every word below shares them.  At a leaf the word is certified iff
+    ``faults`` is 0.  The recursion is k + 1 <= 254 frames deep for
+    n <= ``_WALK_MAX_RANK``, below Python's default limit of 1000.
 
     Equal frontiers share one subtree: the transfer-matrix method
     (Stanley, *Enumerative Combinatorics I*, §4.7) on the frontier of the
@@ -574,42 +567,39 @@ def _walk(n: int, uncertified):
     # an acc_j sums at most k + 1 values below 2^(k·width), so with its sign
     # it fits k·width + 9 bits
     size = (k * table.width + 16) // 8
-    sweep = _Sweep(table)
-    state, opened, lower = sweep.state, sweep.opened, sweep.lower
-    acc, weight = sweep.acc, sweep.weight
     memo = {}  # key of a clean node -> its words, all certified
-    prefix, frames, i = [], [], 1
-    words, failed, expanded = 0, 0, 1
-    while True:
-        while i <= n and state[i - 1] > state[i]:
-            i += 1
-        if i <= n:
-            step = sweep.push(i)
-            prefix.append(i)
-            key, i, length = None, 1, len(prefix)
-            if length == k:
-                words += 1
-                if sweep.faults:
-                    failed += 1
-                    uncertified(_reduced_by_construction(n, tuple(prefix)))
-            else:
-                key, dirty = _frontier(state, opened, lower, acc, weight, unit, size)
-                if dirty != sweep.faults:
-                    key = None
-                elif key in memo:
-                    words += memo[key]
-                    key, i = None, n + 1
-                expanded += i == 1
-            frames.append((step, key, words, failed))
-        elif prefix:
-            i = prefix.pop()
-            step, key, before, failed_before = frames.pop()
-            if key is not None and failed == failed_before:
-                memo[key] = words - before
-            sweep.pop(i, step)
-            i += 1
-        else:
-            return words, expanded
+    expanded = 0
+
+    def visit(node: _Sweep, prefix: tuple) -> tuple[int, bool]:
+        # (words below the node that prefix reaches, whether all certified)
+        nonlocal expanded
+        if len(prefix) == k:
+            if node.faults:
+                uncertified(_reduced_by_construction(n, prefix))
+            return 1, not node.faults
+        key, dirty = _frontier(
+            node.state, node.opened, node.lower, node.acc, node.weight, unit, size
+        )
+        clean = dirty == node.faults
+        if clean and key in memo:
+            return memo[key], True
+        expanded += 1
+        words, certified = 0, True
+        state = node.state
+        for i in range(1, n + 1):
+            if state[i - 1] < state[i]:
+                child = node.copy()
+                child.push(i)
+                below, passed = visit(child, prefix + (i,))
+                words += below
+                certified = certified and passed
+        if clean and certified:
+            memo[key] = words
+        return words, certified
+
+    words = visit(_Sweep(table), ())[0]
+    visit = None  # it holds itself and the memo in a cycle: free the memo now
+    return words, expanded
 
 
 def _check_word(word: ReducedWord) -> list:
@@ -617,12 +607,9 @@ def _check_word(word: ReducedWord) -> list:
     fails, in label order.  An error raised on it is raised again as a
     ValueError naming its letters."""
     try:
-        failing = _verdicts(word, False)
+        verdicts, chamber_list = _verdicts(word)
     except Exception as exc:
         raise ValueError(f"word {word.letters}: {type(exc).__name__}: {exc}") from exc
-    if not failing:
-        return []
-    verdicts, chamber_list = failing
     return [
         (word, v.label, v.formula, v.inverse, _chamber_fields(ch.chamber_set, word.n) if ch else {})
         for v, ch in zip(verdicts, [None] * word.n + chamber_list)
@@ -689,19 +676,20 @@ def verify_all(
     word order: by letters when exhaustive, by index when sampled.
 
     An exhaustive run is one walk in this process, whatever ``jobs`` says,
-    and needs 1 <= n <= ``_WALK_MAX_RANK``.  A sampled run is split into
+    and needs n <= ``_WALK_MAX_RANK``.  A sampled run is split into
     min(jobs, cores, count) shares, one per process: share i of s holds
     the words i, i+s, i+2s, ... (``_check_sample``).  The parent checks
     share 0 and starts one process per other share, which sends back only
     its count and mismatch records; the records are merged by index, so
     the report does not depend on ``jobs``.  A process that dies or raises
     ends the run with a ValueError, and no process outlives the call.  A
-    run that would check no word raises ValueError."""
+    rank below 1, or a run that would check no word, raises ValueError
+    before any process starts."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     if mode == "exhaustive":
-        if n < 1:
-            raise ValueError(f"rank must be >= 1, got {n}")
         if n > _WALK_MAX_RANK:
             raise ValueError(
                 f"exhaustive verify takes rank at most {_WALK_MAX_RANK}, got {n}: "

@@ -169,6 +169,8 @@ def hook_walk_tableau(n: int, rng) -> list[list[int]]:
     tableau and the generator's state afterwards are those of ``randrange``
     draws.
     """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     getrandbits = rng.getrandbits
     rows = list(range(n, 0, -1))  # row and column lengths of the empty part
     cols = list(rows)

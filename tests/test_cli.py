@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -188,6 +189,21 @@ class TestVerify:
             "error": "exhaustive verify takes rank at most 22, got 23: the walk's frontier "
             "keys hold each lane as one byte below 255"
         }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("n", ["0", "-1", "-2"])
+    def test_rank_below_one_is_structured_error_before_any_process(
+        self, capsys, monkeypatch, n, jobs
+    ):
+        starts = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing.Process, "start", lambda self: starts.append(self))
+        code, out, err = run(
+            capsys, "verify", "--n", n, "--mode", "sample", "--count", "3", "--jobs", jobs
+        )
+        assert_structured_error(code, out, err)
+        assert json.loads(err) == {"error": f"rank must be >= 1, got {n}"}
+        assert starts == []
 
     def test_sample_at_rank_23(self, capsys):
         code, out, _ = run(

@@ -871,9 +871,9 @@ class TestWalk:
         checked = []
         real = spanning._verdicts
 
-        def spy(word, passing):
+        def spy(word):
             checked.append(word)
-            return real(word, passing)
+            return real(word)
 
         monkeypatch.setattr(spanning, "_verdicts", spy)
         certify_no_leaf(monkeypatch)
@@ -948,21 +948,35 @@ class TestWalk:
     @pytest.mark.parametrize("n", [22, 23])
     def test_key_bytes_up_to_255_roots(self, n):
         # n = 22 has 253 positive roots, each lane one byte below the
-        # separator 255; n = 23 has 276, its lanes are tuples, and the key
-        # cannot be built
+        # separator 255; n = 23 has 276, and no sweep is built for it
         table = spanning.rank_table(n)
+        if n == 23:
+            assert table.k == 276
+            with pytest.raises(ValueError, match=r"^the sweep takes rank at most 22, got 23$"):
+                spanning._Sweep(table)
+            return
         sweep = spanning._Sweep(table)
         for i in (1, 2, 1):  # the third letter closes the chamber at level 1
             sweep.push(i)
         args = (sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit)
-        size = (table.k * table.width + 16) // 8
-        if n == 22:
-            key, _ = spanning._frontier(*args, size)
-            assert table.k == 253 and key.startswith(bytes(sweep.state))
-        else:
-            assert table.k == 276
-            with pytest.raises(TypeError):
-                spanning._frontier(*args, size)
+        key, _ = spanning._frontier(*args, (table.k * table.width + 16) // 8)
+        assert table.k == 253 and key.startswith(bytes(sweep.state))
+
+    def test_reaches_a_leaf_at_rank_22(self, monkeypatch):
+        # every chamber column faults, so no node is clean and the walk goes
+        # straight down to the first word, 253 letters deep, one frame per
+        # letter, without a RecursionError
+        class Stop(Exception):
+            pass
+
+        def uncertified(word):
+            raise Stop(word)
+
+        monkeypatch.setattr(spanning, "_packed_column", lambda table, members: -1)
+        with pytest.raises(Stop) as stop:
+            spanning._walk(22, uncertified)
+        (word,) = stop.value.args
+        assert word == next(enumerate_reduced_words(22)) and word.k == 253
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_commuting_letters_reach_one_key(self, n):
@@ -972,46 +986,37 @@ class TestWalk:
         # state at p, so each state is expanded once
         table = spanning.rank_table(n)
         size = (table.k * table.width + 16) // 8
-        sweep = spanning._Sweep(table)
 
-        def now():
+        def now(sweep):
             lists = (sweep.state, sweep.below, sweep.opened, sweep.lower, sweep.acc, sweep.weight)
             return tuple(map(tuple, lists)) + (sweep.faults,)
 
-        def key():
-            return spanning._frontier(
+        def reach(sweep, letters):
+            sweep = sweep.copy()
+            for i in letters:
+                sweep.push(i)
+            key = spanning._frontier(
                 sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit, size
             )
-
-        def push(letters):
-            return [(i, sweep.push(i)) for i in letters]
-
-        def undo(frames):
-            for i, frame in reversed(frames):
-                sweep.pop(i, frame)
-
-        def reach(letters):
-            frames = push(letters)
-            reached = now(), key()
-            undo(frames)
-            return reached
+            return now(sweep), key
 
         seen, pairs = set(), 0
-        stack = [()]
+        stack = [spanning._Sweep(table)]
         while stack:
-            prefix = stack.pop()
-            frames = push(prefix)
-            here = now()
+            sweep = stack.pop()
+            here = now(sweep)
             if here not in seen:
                 seen.add(here)
                 ascents = [i for i in range(1, n + 1) if sweep.state[i - 1] < sweep.state[i]]
                 for a, i in itertools.combinations(ascents, 2):
                     if i - a >= 2:
-                        assert reach((a, i)) == reach((i, a)), (prefix, a, i)
+                        assert reach(sweep, (a, i)) == reach(sweep, (i, a)), (here, a, i)
                         pairs += 1
-                assert now() == here  # pop undoes push
-                stack.extend(prefix + (i,) for i in ascents)
-            undo(frames)
+                for i in ascents:
+                    child = sweep.copy()
+                    child.push(i)
+                    stack.append(child)
+                assert now(sweep) == here  # a push on a copy leaves its parent as it is
         assert pairs > 0 or n < 3
 
     def test_raising_column_names_the_first_word_below(self, monkeypatch):
@@ -1110,7 +1115,8 @@ def with_root(monkeypatch, n, acc=(), weight=()):
 class TestSweep:
     """The one certificate step (``spanning._Sweep``), taken along a single
     word (``_certified``), against the per-word certificate and the
-    reference walker.  CI runs these under ``python -O`` with ``-k sweep``."""
+    reference walker.  CI runs these, and ``TestWalk``, under ``python -O``
+    with ``-k "sweep or walk"``."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sweep_agrees_with_certify_inverse_and_the_walk_on_every_word(self, n):

@@ -361,6 +361,11 @@ class TestSampler:
         assert hook_walk_tableau(1, random.Random(0)) == [[1]]
         assert edelman_greene([[1]]) == (1,)
 
+    @pytest.mark.parametrize("n", [0, -1, -2, -5])
+    def test_rank_below_one_raises(self, n):
+        with pytest.raises(ValueError, match=rf"^rank must be >= 1, got {n}$"):
+            hook_walk_tableau(n, random.Random(0))
+
     def test_promotion_finds_each_entry_in_a_corner(self):
         # entries leave in decreasing order, each looked up among the
         # corners; a largest entry off the corners is no standard tableau
