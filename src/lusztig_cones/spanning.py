@@ -34,25 +34,64 @@ column of M weighs more than 7.  Then every digit of V·M - I is below
 V·M = I, as in ``cone.certify_inverse``.  A sampled word is read in two
 passes, one over its letters that fixes each chamber's column and the
 four regions around each crossing, one over its crossings that sums them
-(``_certified``); an exhaustive run takes one step per letter
-(``_Sweep``) along the prefix tree of reduced words (``_walk``), where
-every word below a node shares the chambers closed above it and every
-prefix has its acc_j, each child stepped on a copy of its parent's sweep.
-A certified word builds no diagram, vector, label or verdict.
-Equal frontiers share one subtree.  Below a node the walk reads only the
-strings, the lanes of the chamber open at each level, their acc_j and
-w_j, and whether every other crossed lane is clean and every closed
-chamber's column passed: a lane that no open chamber names never changes
-again once crossed, and an uncrossed lane's sums are fixed by the
-strings.  So the subtree of a clean node is a function of those bytes
-(``_frontier``), and a per-call memo from them to the number of words
-below, all certified, walks each clean subtree once.  An open chamber's
-lanes are kept on two sides, the crossings one level up and one level
-down, each in the order of its crossings; that order is the same in every
-word of a commutation class, so commuting prefixes reach one key and
-share one subtree: all 1100742656 words at n = 6 in seconds, and all
-48608795688960 at n = 7 in about a minute.  A word that is not
-certified, in either mode, is checked on its own (``_verdicts``),
+(``_certified``).  A certified word builds no diagram, vector, label or
+verdict.
+
+An exhaustive run checks each crossing configuration once, not each word
+(``_failing_triples``).  Lemma: let strings x < y cross at level i of a
+word, x at position i and y at i+1, and let X be the strings below
+position i+1 then.  The four regions around the crossing are open at
+their levels while it happens, and a region's chamber set is the set of
+strings under its level while it is open, so the sets are
+
+    left, at level i:       X ∪ {y}
+    right, at level i:      X ∪ {x}
+    above, at level i-1:    X ∪ {x, y}
+    below, at level i+1:    X
+
+(a level 0 or n+1 has no region; its set, all strings or none, counts as
+unbounded).  Each crossing at level l replaces the string that leaves the
+set under l by a smaller one, so the sets of one level's regions are
+distinct, from the first, {l+1, ..., n+1}, to the last, {1, ..., n+1-l}.
+So a region is bounded iff its set S is neither, iff ∂S has at least two
+points (``wiring.chamber_boundary``).  Hence the acc_j and w_j of lane
+(x, y), and whether the columns around its crossing are faulty, are
+functions of (x, y, X) alone: acc_j is ``RankTable.acc`` plus the mixed
+second difference col(X ∪ {x, y}) - col(X ∪ {x}) - col(X ∪ {y}) +
+col(X) of the column map, over bounded sets; these are the chamber sets
+around a crossing of Berenstein, Fomin and Zelevinsky (1996).  A word's
+faults are its lanes that fail and its bounded regions whose column is
+faulty, and each such region is the left region of the crossing that
+closes it; so a word whose configurations all pass is certified, by the
+soundness argument of ``_Sweep``, which holds as it stands.
+
+Realisation: every permutation of the strings has a reduced word that
+extends to one of w0, since w0 is the top of the weak order (Björner and
+Brenti, *Combinatorics of Coxeter Groups*, ch. 3).  For x < y and any set
+X of the other n-1 strings, list the other strings, then x and y, then X;
+cross x and y; complete to w0 (``_witness``).  That word meets (x, y, X)
+at a crossing.  So every reduced word of w0 is certified iff all
+k·2^(n-1) configurations pass, and each failing one is met by a word
+whose certificate fails.
+
+When one fails, ranks up to ``_LISTED_MAX_RANK`` walk the prefix tree of
+reduced words (``_walk``) to list every word that is not certified, one
+step of the sweep per letter (``_Sweep``), each child stepped on a copy
+of its parent's sweep, every word below a node sharing the chambers
+closed above it.  Equal frontiers share one subtree.  Below a node the
+walk reads only the strings, the lanes of the chamber open at each level,
+their acc_j and w_j, and whether every other crossed lane is clean and
+every closed chamber's column passed: a lane that no open chamber names
+never changes again once crossed, and an uncrossed lane's sums are fixed
+by the strings.  So the subtree of a clean node is a function of those
+bytes (``_frontier``), and a per-call memo from them to the number of
+words below, all certified, walks each clean subtree once.  An open
+chamber's lanes are kept on two sides, the crossings one level up and one
+level down, each in the order of its crossings; that order is the same in
+every word of a commutation class, so commuting prefixes reach one key and
+share one subtree: 76709 states for all 1100742656 words at n = 6.  Above
+``_LISTED_MAX_RANK`` each failing configuration gives its witness.  A word
+that is not certified, in any mode, is checked on its own (``_verdicts``),
 which names the failing labels or raises.
 """
 
@@ -73,6 +112,7 @@ from .words import (
     all_positive_roots,
     edelman_greene,
     hook_walk_tableau,
+    reduced_word_count,
 )
 
 
@@ -324,6 +364,14 @@ def _chamber_fields(members, n: int) -> dict:
 # frontier key is then one byte below the separator 255 (``_frontier``)
 _WALK_MAX_RANK = 22
 
+# exhaustive verify: the largest rank where a failing configuration sends
+# the run on to the walk, which lists every failing word (the clean walk
+# takes about a minute and 620 MB at n = 7), and the largest rank of all:
+# the column table of ``_failing_triples`` peaked at 570 MB at n = 20 (49 s
+# on a 2-core VM) and doubles with each rank
+_LISTED_MAX_RANK = 7
+_EXHAUSTIVE_MAX_RANK = 20
+
 
 def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes, int]:
     """(key, dirty) of a node of ``_walk``: its frontier as bytes, and how
@@ -522,6 +570,98 @@ def _certified(word: ReducedWord) -> bool:
     return not _lane_sums(word)[2]
 
 
+def _failing_triples(n: int) -> list[tuple[int, int, int]]:
+    """The crossing configurations (x, y, X) of rank n whose lane fails the
+    certificate, in the order of x, then y, then X: each pair of strings
+    x < y and each set X of other strings, as a bit mask (string s at bit
+    s), k·2^(n-1) triples in all.  An empty list proves V·M = I for every
+    reduced word of w0 (the module docstring has the proof).
+
+    Lane r = ``RankTable.lane[x][y]`` of the triple has acc = ``acc[r]`` +
+    col(X ∪ {x, y}) + col(X) - col(X ∪ {x}) - col(X ∪ {y}) and w =
+    ``weight[r]`` + the number of those four sets that are bounded; an
+    unbounded set, one whose boundary ∂S has at most one point (S is
+    empty, full, {1..m} or {n+2-m..n+1}), adds 0 to both.  As in
+    ``_lane_sums``, the triple fails if acc is not ``unit[r]``, if w > 7,
+    or if a bounded set's column raises or fails ``RankTable.mask`` (it
+    then adds 0 to acc); a simple column that fails the mask fails every
+    triple.  The columns come from ``_packed_column``, once per bounded
+    set, in a table of 2^(n+2) entries that lives for the call; its size
+    sets ``_EXHAUSTIVE_MAX_RANK``."""
+    table = rank_table(n)
+    full, boundary = (1 << n + 2) - 2, (2 << n) - 2  # every string; the points [1, n]
+    columns = [0] * (full + 1)  # bit mask of a set -> its column; 0 if unbounded or faulty
+    bounded = bytearray(full + 1)
+    faulty = set()  # bounded sets whose column raised or failed the mask
+    for members in range(2, full, 2):
+        points = (members ^ members >> 1) & boundary  # ∂S, as in _packed_column
+        if points & points - 1:
+            bounded[members] = 1
+            try:
+                column = _packed_column(table, members)
+            except Exception:  # raised again, naming a word, by that word's own check
+                column = None
+            if column is None or column & ~table.mask:
+                faulty.add(members)
+            else:
+                columns[members] = column
+    unit, acc, weight, lane = table.unit, table.acc, table.weight, table.lane
+    # a weight can pass 7 only if its lane starts above 3; then, or with a
+    # faulty column, every triple takes the whole fault rule
+    slow = table.faults or faulty or max(weight) > 3
+    failing = []
+    for x in range(1, n + 1):
+        for y in range(x + 1, n + 2):
+            r, bx, by = lane[x][y], 1 << x, 1 << y
+            bxy, target = bx | by, unit[r] - acc[r]
+            rest = full ^ bxy
+            below = 0
+            while True:  # every subset of rest, in increasing order
+                up, left, right = below | bxy, below | by, below | bx
+                if columns[up] + columns[below] - columns[left] - columns[right] != target or (
+                    slow and (
+                        table.faults
+                        or weight[r] + bounded[up] + bounded[below] + bounded[left]
+                        + bounded[right] > 7
+                        or not faulty.isdisjoint((up, below, left, right))
+                    )
+                ):
+                    failing.append((x, y, below))
+                below = below - rest & rest
+                if not below:
+                    break
+    return failing
+
+
+def _witness(n: int, x: int, y: int, below: int) -> ReducedWord:
+    """A reduced word of w0 whose crossing of strings x < y has exactly the
+    strings of ``below`` (a bit mask, string s at bit s) under it: a reduced
+    word of the permutation that lists the other strings, then x and y,
+    then those of ``below``, top to bottom; the letter that crosses x and
+    y; then a reduced word from there to w0.  Both words move the strings
+    into their order top down, each up to its place past the strings not
+    yet placed.  Those are smaller: in the first, they stay in increasing
+    order; in the second, the largest string is placed first.  So every
+    letter lengthens the product and the word is reduced; it is validated
+    once, on construction."""
+    strings = range(1, n + 2)
+    state, letters = list(strings), []
+
+    def place(order):
+        for p, s in enumerate(order, 1):
+            for i in range(state.index(s), p - 1, -1):
+                letters.append(i)
+                state[i - 1], state[i] = state[i], state[i - 1]
+
+    others = [s for s in strings if s not in (x, y) and not below >> s & 1]
+    place(others + [x, y] + [s for s in strings if below >> s & 1])
+    i = len(others) + 1
+    letters.append(i)
+    state[i - 1], state[i] = y, x
+    place(strings[::-1])
+    return ReducedWord(n, tuple(letters))
+
+
 def _walk(n: int, uncertified):
     """Certify the reduced words of w0 along their prefix tree, and call
     ``uncertified`` on each word it does not certify, in the order of
@@ -667,37 +807,47 @@ def verify_all(
 ) -> VerifyReport:
     """Check the theorem on every reduced word of w0 (``mode`` "exhaustive")
     or on ``count`` words drawn uniformly (``mode`` "sample"), and
-    aggregate the mismatches.  Each word is certified by its column sums
-    of V·M: along the prefix tree with one step per letter (``_walk``)
-    when exhaustive, from the four regions around each crossing
-    (``_certified``) when sampled.  A word that is not certified is checked
-    on its own, as in ``verify_theorem``, and an error raised on it is
-    re-raised as a ValueError naming its letters.  The records come in
-    word order: by letters when exhaustive, by index when sampled.
+    aggregate the mismatches.  A sampled word is certified by its column
+    sums of V·M, read off the four regions around each crossing
+    (``_certified``).  An exhaustive run checks each crossing configuration
+    once instead (``_failing_triples``); when all pass, every word is
+    certified, ``checked`` is their number (``words.reduced_word_count``)
+    and no word is built.  A word that is not certified is checked on its
+    own, as in ``verify_theorem``, and an error raised on it is re-raised as
+    a ValueError naming its letters.
 
-    An exhaustive run is one walk in this process, whatever ``jobs`` says,
-    and needs n <= ``_WALK_MAX_RANK``.  A sampled run is split into
-    min(jobs, cores, count) shares, one per process: share i of s holds
-    the words i, i+s, i+2s, ... (``_check_sample``).  The parent checks
-    share 0 and starts one process per other share, which sends back only
-    its count and mismatch records; the records are merged by index, so
-    the report does not depend on ``jobs``.  A process that dies or raises
-    ends the run with a ValueError, and no process outlives the call.  A
-    rank below 1, or a run that would check no word, raises ValueError
-    before any process starts."""
+    When a configuration fails, an exhaustive run up to
+    ``_LISTED_MAX_RANK`` walks the prefix tree (``_walk``) and checks every
+    word that the walk does not certify, in the order of their letters;
+    above it, it checks one word per failing configuration
+    (``_witness``), in the order of the configurations.  An exhaustive run
+    takes n <= ``_EXHAUSTIVE_MAX_RANK`` and runs in this process, whatever
+    ``jobs`` says.  A sampled run is split into min(jobs, cores, count)
+    shares, one per process: share i of s holds the words i, i+s, i+2s, ...
+    (``_check_sample``).  The parent checks share 0 and starts one process
+    per other share, which sends back only its count and mismatch records;
+    the records are merged by index, so the report does not depend on
+    ``jobs``.  A process that dies or raises ends the run with a
+    ValueError, and no process outlives the call.  A rank below 1, or a
+    run that would check no word, raises ValueError before any process
+    starts."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     if mode == "exhaustive":
-        if n > _WALK_MAX_RANK:
+        if n > _EXHAUSTIVE_MAX_RANK:
             raise ValueError(
-                f"exhaustive verify takes rank at most {_WALK_MAX_RANK}, got {n}: "
-                "the walk's frontier keys hold each lane as one byte below 255"
+                f"exhaustive verify takes rank at most {_EXHAUSTIVE_MAX_RANK}, got {n}: "
+                "its table of chamber columns would pass 1 GB"
             )
-        mismatches = []
-        checked, _ = _walk(n, lambda word: mismatches.extend(_check_word(word)))
-        return VerifyReport(n=n, checked=checked, mismatches=mismatches)
+        failing, mismatches = _failing_triples(n), []
+        if failing and n <= _LISTED_MAX_RANK:
+            checked, _ = _walk(n, lambda word: mismatches.extend(_check_word(word)))
+            return VerifyReport(n=n, checked=checked, mismatches=mismatches)
+        for triple in failing:
+            mismatches += _check_word(_witness(n, *triple))
+        return VerifyReport(n=n, checked=reduced_word_count(n), mismatches=mismatches)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
     if count < 1:

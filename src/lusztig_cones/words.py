@@ -9,6 +9,7 @@ values; nothing is mutated in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -16,6 +17,19 @@ from typing import Iterator
 def longest_word_length(n: int) -> int:
     """Length of every reduced expression for w0 in type A_n."""
     return n * (n + 1) // 2
+
+
+def reduced_word_count(n: int) -> int:
+    """Number of reduced words of w0 in type A_n: the standard Young tableaux
+    of staircase shape (n, n-1, ..., 1) (Stanley 1984), by the hook length
+    formula.  The n+1-d cells on the d-th diagonal from the corner have
+    hook 2d-1, so the count is k! / prod (2d-1)^(n+1-d), d = 1..n."""
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    hooks = 1
+    for d in range(1, n + 1):
+        hooks *= (2 * d - 1) ** (n + 1 - d)
+    return math.factorial(longest_word_length(n)) // hooks
 
 
 def all_positive_roots(n: int) -> list[tuple[int, int]]:

@@ -181,13 +181,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
-    def test_exhaustive_above_rank_22_is_structured_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--n", "23", "--mode", "exhaustive")
+    def test_exhaustive_above_the_rank_cap_is_structured_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "21", "--mode", "exhaustive")
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {
-            "error": "exhaustive verify takes rank at most 22, got 23: the walk's frontier "
-            "keys hold each lane as one byte below 255"
+            "error": "exhaustive verify takes rank at most 20, got 21: its table of chamber "
+            "columns would pass 1 GB"
         }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

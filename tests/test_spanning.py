@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import itertools
 import json
 import math
@@ -9,13 +10,14 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import v_component, weight_vector
+from references import is_chamber_set, v_component, weight_vector
 from test_pquiver import reference_components
 from test_words import staircase_tableaux_count
 
@@ -370,11 +372,22 @@ def memo_walk(n):
 PASSING_RUNS = [(4, "exhaustive", 1, 768), (4, "sample", 50, 50), (7, "sample", 40, 40)]
 
 
+def every_triple(n):
+    """Every crossing configuration (x, y, X) of rank n, in the order of
+    ``spanning._failing_triples``: strings x < y, then X, a bit mask of
+    other strings, increasing."""
+    full = (1 << n + 2) - 2
+    for x, y in itertools.combinations(range(1, n + 2), 2):
+        rest = full ^ (1 << x | 1 << y)
+        yield from ((x, y, below) for below in range(full + 1) if below & ~rest == 0)
+
+
 def certify_no_leaf(monkeypatch):
-    """Make the prefix tree and the single-word sweep certify no word, so
-    that ``verify_all`` checks every word on its own (``_verdicts``), in
-    both modes, through the per-word layers that a defect may be planted
-    in."""
+    """Make the crossing check, the prefix tree and the single-word sweep
+    certify no word, so that ``verify_all`` checks every word on its own
+    (``_verdicts``), in both modes, through the per-word layers that a
+    defect may be planted in: every configuration fails, and an exhaustive
+    run goes on to the walk."""
 
     def walk(n, uncertified):
         count = 0
@@ -382,6 +395,7 @@ def certify_no_leaf(monkeypatch):
             uncertified(word)
         return count, None
 
+    monkeypatch.setattr(spanning, "_failing_triples", lambda n: list(every_triple(n)))
     monkeypatch.setattr(spanning, "_walk", walk)
     monkeypatch.setattr(spanning, "_certified", lambda word: False)
 
@@ -600,17 +614,17 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match=rf"^{name} must be at least 1"):
             verify_all(5, **kwargs)
 
-    def test_exhaustive_above_rank_22_raises_before_the_walk(self, monkeypatch):
-        # frontier keys hold lanes as bytes below 255: at most 253 roots, n = 22
-        def walk(n, uncertified):
-            raise AssertionError("the walk started")
+    def test_exhaustive_above_the_rank_cap_raises_before_any_check(self, monkeypatch):
+        # the crossing check's column table has 2^(n+2) entries: the cap
+        # is n = 20, and a run above it builds no table
+        def check(n):
+            raise AssertionError("the check started")
 
-        monkeypatch.setattr(spanning, "_walk", walk)
-        assert spanning.rank_table(22).k == 253 and spanning.rank_table(23).k == 276
-        with pytest.raises(ValueError, match=r"^exhaustive verify takes rank at most 22, got 23:"):
-            verify_all(23, mode="exhaustive", jobs=2)
-        with pytest.raises(AssertionError, match="the walk started"):
-            verify_all(22, mode="exhaustive")
+        monkeypatch.setattr(spanning, "_failing_triples", check)
+        with pytest.raises(ValueError, match=r"^exhaustive verify takes rank at most 20, got 21:"):
+            verify_all(21, mode="exhaustive", jobs=2)
+        with pytest.raises(AssertionError, match="the check started"):
+            verify_all(20, mode="exhaustive")
 
     def test_each_chamber_checked_once_without_partial_quivers(self, monkeypatch):
         # the columns are read off the chamber sets' bit masks: one
@@ -844,15 +858,18 @@ class TestWalk:
         assert (count, uncertified) == (len(walked), [])
 
     def test_certifies_every_word_from_few_states(self):
+        # a clean exhaustive run no longer walks, so the walk is run here,
+        # up to n = 6, where the crossing check passes too
         states = {}
-        for n in range(1, 6):
+        for n in range(1, 7):
             count, states[n], uncertified = memo_walk(n)
             assert (count, uncertified) == (staircase_tableaux_count(n), [])
+            assert spanning._failing_triples(n) == []
         # the plain walk expands 802402 nodes at n = 5; a clean condition
         # that let uncrossed lanes in would be false at almost all of them,
         # and a key that kept the order in which commuting letters came
         # (one list per chamber for both sides) expands 476 and 8085
-        assert (states[4], states[5]) == (348, 4608), states
+        assert (states[4], states[5], states[6]) == (348, 4608, 76709), states
 
     def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
         calls = []
@@ -1041,25 +1058,23 @@ class TestWalk:
 
     def test_memo_is_released_after_each_call(self):
         # a memo kept alive past its call (a reference cycle, a cache) would
-        # raise the peak RSS of a process that calls verify_all often.  The
-        # child reads the peak of its own address space (VmHWM): its
-        # ru_maxrss starts at the peak of the process that started it.
-        script = (
-            "from lusztig_cones.spanning import verify_all\n"
-            "def peak():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return next(int(x.split()[1]) for x in status if x.startswith('VmHWM:'))\n"
-            "verify_all(4)\n"
-            "before = peak()\n"
-            "for _ in range(300):\n"
-            "    assert verify_all(4).checked == 768\n"
-            "print(peak() - before)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(spanning.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-        )
-        assert int(out.stdout) < 2048, f"peak RSS rose {out.stdout.strip()} kB"
+        # raise the peak RSS of a process that walks often.  With the cyclic
+        # collector off, only reference counts free the memo; the memory
+        # still allocated after a call at n = 5 (4608 keys, about 1 MB if
+        # kept) is measured against the memory before it
+        spanning._walk(5, None)  # the rank's table and pieces, built once
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert spanning._walk(5, None) == (292864, 4608)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert kept < 64 << 10, f"{kept} bytes outlived the walk"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_and_columns_are_constant_on_a_commutation_class(self, n):
@@ -1077,6 +1092,206 @@ class TestWalk:
                 seen |= commutation_class
                 assert all(pairs(other) == pairs(word) for other in commutation_class)
         assert seen == set(enumerate_reduced_words(n))
+
+
+def crossing_triples(word):
+    """(lane, (x, y, X)) of each crossing of ``word``, in order: the strings
+    x < y that cross and the bit mask of the strings below them."""
+    table, state = spanning.rank_table(word.n), list(range(1, word.n + 2))
+    for i in word.letters:
+        x, y = state[i - 1], state[i]
+        yield table.lane[x][y], (x, y, mask_of(state[i + 1 :]))
+        state[i - 1], state[i] = y, x
+
+
+def faulty_columns(n):
+    """The bit masks of the legal chamber sets of rank n (``is_chamber_set``,
+    the definition) whose column raises or fails the lane mask."""
+    table, faulty = spanning.rank_table(n), set()
+    for members in range(2, 2 << n + 1, 2):
+        if is_chamber_set(strings_of(members), n):
+            try:
+                column = spanning._packed_column(table, members)
+            except Exception:
+                column = None
+            if column is None or column & ~table.mask:
+                faulty.add(members)
+    return faulty
+
+
+def failing_lanes(word, faulty):
+    """The configurations (x, y, X) of the crossings of ``word`` whose lane
+    fails: its acc_j or w_j of ``_lane_sums`` is off, or one of the four
+    sets around the crossing is in ``faulty`` (``faulty_columns``)."""
+    table = spanning.rank_table(word.n)
+    acc, weight, _ = spanning._lane_sums(word)
+    failing = set()
+    for r, (x, y, below) in crossing_triples(word):
+        sets = {below, below | 1 << x, below | 1 << y, below | 1 << x | 1 << y}
+        if acc[r] != table.unit[r] or weight[r] > 7 or sets & faulty:
+            failing.add((x, y, below))
+    return failing
+
+
+def plant(monkeypatch, defect):
+    """Plant a ``_packed_column`` defect: ("held", h, m) adds 1 to lane 0 of
+    the sets that hold string h and not m (``TestWalk``), ("set", S) adds 1
+    to lane 0 of the set S alone, ("raise", S) makes S's column raise, and
+    ("negative", S) gives S a column of -1 in lane 0."""
+    real = spanning._packed_column
+    kind, *args = defect
+
+    def column(table, members):
+        strings = strings_of(members)
+        if kind == "held":
+            return real(table, members) + (args[0] in strings and args[1] not in strings)
+        if strings != args[0]:
+            return real(table, members)
+        if kind == "raise":
+            raise ValueError("planted failure")
+        return real(table, members) + 1 if kind == "set" else -1
+
+    monkeypatch.setattr(spanning, "_packed_column", column)
+
+
+HELD = [("held", 2, 4), ("held", 4, 2), ("held", 1, 3)]
+RAISE, NEGATIVE = ("raise", frozenset({1, 3, 4})), ("negative", frozenset({2, 4}))
+
+
+def defect_id(defect):
+    """A test id: the defect's kind and its strings."""
+    kind, *args = defect
+    strings = (str(a) if isinstance(a, int) else "".join(map(str, sorted(a))) for a in args)
+    return "-".join([kind, *strings])
+
+
+class TestCrossings:
+    """The exhaustive check (``spanning._failing_triples``): each crossing
+    configuration (x, y, X) once, against the walk, which checks each word;
+    and the witness word of a configuration (``spanning._witness``)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_witness_crosses_x_and_y_above_the_set(self, n):
+        triples = list(every_triple(n))
+        assert len(triples) == words.longest_word_length(n) << n - 1
+        for x, y, below in triples:
+            word = spanning._witness(n, x, y, below)
+            assert is_reduced_word_for_w0(word.letters, n)
+            assert (x, y, below) in {t for _, t in crossing_triples(word)}
+
+    @pytest.mark.parametrize("defect", HELD + [RAISE, NEGATIVE], ids=defect_id)
+    def test_verdict_equals_the_walk_verdict(self, monkeypatch, defect):
+        # the walk stops at its first uncertified word; the clean walk is
+        # TestWalk's, up to n = 6
+        class Uncertified(Exception):
+            pass
+
+        def stop(word):
+            raise Uncertified(word)
+
+        plant(monkeypatch, defect)
+        for n in range(1, 7):
+            try:
+                spanning._walk(n, stop)
+                certified = True
+            except Uncertified:
+                certified = False
+            assert certified == (not spanning._failing_triples(n)), n
+        assert not certified
+
+    @pytest.mark.parametrize(
+        "defect, ranks",
+        [(d, 4) for d in HELD + [RAISE, NEGATIVE]] + [(("set", frozenset({1, 6})), 5)],
+        ids=lambda x: defect_id(x) if isinstance(x, tuple) else f"to-n{x}",
+    )
+    def test_failing_triples_are_the_failing_lanes_of_the_walk(self, monkeypatch, defect, ranks):
+        plant(monkeypatch, defect)
+        for n in range(1, ranks + 1):
+            failing, faulty = set(), faulty_columns(n)
+            for word in memo_walk(n)[2]:
+                failing |= failing_lanes(word, faulty)
+            found = spanning._failing_triples(n)
+            assert found == [t for t in every_triple(n) if t in failing], n
+        assert found
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_lane_sums_are_the_configuration_sums_on_uniform_words(self, monkeypatch, planted):
+        # the lemma, lane by lane: acc_j and w_j of ``_lane_sums`` are the
+        # simple root's plus the four sets around the lane's crossing, each
+        # counted iff it is a chamber set, also where a planted column is
+        # wrong
+        if planted:
+            plant(monkeypatch, ("set", frozenset({1, 2, 4})))
+        for n, count in [(4, 100), (7, 100), (12, 40), (20, 10)]:
+            table = spanning.rank_table(n)
+            for word in random_words(n, count, 17):
+                acc, weight, _ = spanning._lane_sums(word)
+                for r, (x, y, below) in crossing_triples(word):
+                    terms = [(below | 1 << x | 1 << y, 1), (below, 1),
+                             (below | 1 << x, -1), (below | 1 << y, -1)]
+                    terms = [(m, a) for m, a in terms if is_chamber_set(strings_of(m), n)]
+                    assert acc[r] == table.acc[r] + sum(
+                        a * spanning._packed_column(table, m) for m, a in terms
+                    ), (word.letters, r)
+                    assert weight[r] == table.weight[r] + len(terms), (word.letters, r)
+
+    def test_weight_past_seven_fails_where_all_four_sets_are_bounded(self, monkeypatch):
+        # lane (1, 3) starts at weight 4: its column weighs 8 wherever all
+        # four sets around the crossing are chamber sets, and at most 7
+        # elsewhere, whatever acc says
+        n = 4
+        table = with_root(monkeypatch, n, weight=[(spanning.rank_table(n).lane[1][3], 4)])
+        bounded = [
+            (x, y, below)
+            for x, y, below in every_triple(n)
+            if (x, y) == (1, 3)
+            and all(is_chamber_set(strings_of(below | extra), n) for extra in (0, 2, 8, 10))
+        ]
+        assert 0 < len(bounded) < 8 and table.weight[table.lane[1][3]] == 4
+        assert spanning._failing_triples(n) == bounded
+
+    def test_clean_run_builds_no_word(self, monkeypatch):
+        # neither the walk nor a witness nor a per-word check runs, and
+        # checked is the hook length count
+        def called(name):
+            def spy(*args):
+                raise AssertionError(f"{name} was called")
+
+            return spy
+
+        for name in ("_walk", "_witness", "_check_word", "_verdicts"):
+            monkeypatch.setattr(spanning, name, called(name))
+        for n in range(1, 10):
+            report = verify_all(n)
+            assert (report.checked, report.mismatches) == (staircase_tableaux_count(n), []), n
+
+    def test_records_up_to_rank_7_list_every_failing_word(self, monkeypatch):
+        # the walk names each uncertified word, in the order of its letters
+        plant(monkeypatch, ("set", frozenset({1, 2, 4})))
+        uncertified = memo_walk(4)[2]
+        assert 0 < len(uncertified) < 768
+        report = verify_all(4)
+        assert report.checked == 768
+        assert report.mismatches == [r for w in uncertified for r in spanning._check_word(w)]
+
+    def test_records_above_rank_7_give_one_witness_per_failing_triple(self, monkeypatch):
+        plant(monkeypatch, ("set", frozenset({1, 2, 4})))
+        failing = spanning._failing_triples(8)
+        assert len(failing) == 36
+        witnesses = [spanning._witness(8, *t) for t in failing]
+        monkeypatch.setattr(spanning, "_walk", lambda n, uncertified: pytest.fail("walked"))
+        report = verify_all(8)
+        assert report.checked == 29258366996258488320
+        assert report.mismatches == [r for w in witnesses for r in spanning._check_word(w)]
+        assert {r[0] for r in report.mismatches} == set(witnesses)
+        assert all(r[4]["chamber_set"] == [1, 2, 4] for r in report.mismatches)
+
+    def test_raising_column_names_a_witness_above_rank_7(self, monkeypatch):
+        plant(monkeypatch, ("raise", frozenset({1, 2, 4})))
+        first = spanning._witness(8, *spanning._failing_triples(8)[0])
+        message = rf"^word {re.escape(str(first.letters))}: ValueError: chamber \(\d+, \d+\): "
+        with pytest.raises(ValueError, match=message + "planted failure"):
+            verify_all(8)
 
 
 

@@ -189,6 +189,19 @@ class TestEnumeration:
         assert all(a.letters < b.letters for a, b in zip(ws, ws[1:]))
         assert ws[0] == staircase_word(n)
 
+    def test_reduced_word_count(self):
+        # the package's count, by diagonals of the staircase, against the
+        # cell-by-cell hook length oracle, and against the enumeration
+        for n in range(1, 9):
+            assert words.reduced_word_count(n) == staircase_tableaux_count(n), n
+        for n in range(1, 6):
+            assert words.reduced_word_count(n) == sum(1 for _ in enumerate_reduced_words(n)), n
+        assert words.reduced_word_count(12) == (
+            9079590132732747656880081324531330222983622187548672000
+        )
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            words.reduced_word_count(0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_word_is_reduced(self, n):
         # enumeration builds its words without validating them again
