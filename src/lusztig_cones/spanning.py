@@ -63,7 +63,10 @@ around a crossing of Berenstein, Fomin and Zelevinsky (1996).  A word's
 faults are its lanes that fail and its bounded regions whose column is
 faulty, and each such region is the left region of the crossing that
 closes it; so a word whose configurations all pass is certified, by the
-soundness argument of ``_Sweep``, which holds as it stands.
+soundness argument of ``_lane_sums``.  Conversely a failing configuration
+at one of its crossings makes that crossing's lane fail or one of its
+bounded regions faulty, so a word is certified iff none of its crossings
+has a failing configuration.
 
 Realisation: every permutation of the strings has a reduced word that
 extends to one of w0, since w0 is the top of the weak order (Björner and
@@ -74,25 +77,11 @@ at a crossing.  So every reduced word of w0 is certified iff all
 k·2^(n-1) configurations pass, and each failing one is met by a word
 whose certificate fails.
 
-When one fails, ranks up to ``_LISTED_MAX_RANK`` walk the prefix tree of
-reduced words (``_walk``) to list every word that is not certified, one
-step of the sweep per letter (``_Sweep``), each child stepped on a copy
-of its parent's sweep, every word below a node sharing the chambers
-closed above it.  Equal frontiers share one subtree.  Below a node the
-walk reads only the strings, the lanes of the chamber open at each level,
-their acc_j and w_j, and whether every other crossed lane is clean and
-every closed chamber's column passed: a lane that no open chamber names
-never changes again once crossed, and an uncrossed lane's sums are fixed
-by the strings.  So the subtree of a clean node is a function of those
-bytes (``_frontier``), and a per-call memo from them to the number of
-words below, all certified, walks each clean subtree once.  An open
-chamber's lanes are kept on two sides, the crossings one level up and one
-level down, each in the order of its crossings; that order is the same in
-every word of a commutation class, so commuting prefixes reach one key and
-share one subtree: 76709 states for all 1100742656 words at n = 6.  Above
-``_LISTED_MAX_RANK`` each failing configuration gives its witness.  A word
-that is not certified, in any mode, is checked on its own (``_verdicts``),
-which names the failing labels or raises.
+When one fails, ranks up to ``_LISTED_MAX_RANK`` list every word that
+meets a failing configuration, and so every word that is not certified
+(``_failing_words``); above it each failing configuration gives its
+witness.  A word that is not certified, in any mode, is checked on its
+own (``_verdicts``), which names the failing labels or raises.
 """
 
 from __future__ import annotations
@@ -120,7 +109,7 @@ class RankTable:
     """Packed integer vectors of rank n: one lane of ``width`` bits per
     positive root, in the order of ``all_positive_roots(n)``
     (``cone.pack``), and the start of the certificate's column sums
-    (``_Sweep``, ``_lane_sums``).
+    (``_lane_sums``, ``_failing_triples``).
 
     ``simple[j - 1]`` is the indicator of the roots (p, q) with
     p <= j < q, ``pieces`` holds its sums 8 boundary points at a time (the
@@ -175,8 +164,8 @@ class RankTable:
         attribute that ``__init__`` assigns, not a
         ``functools.cached_property``: that one writes through the
         instance ``__dict__``, after which CPython 3.11 and 3.12 read every
-        attribute of the table, as the sweep does at each letter, several
-        times more slowly."""
+        attribute of the table, as ``_packed_column`` does for each column,
+        several times more slowly."""
         pieces = []
         for start in range(0, self.n, 8):
             simple = self.simple[start : start + 8]
@@ -360,161 +349,22 @@ def _chamber_fields(members, n: int) -> dict:
     }
 
 
-# the largest rank with at most 255 positive roots: every lane of a
-# frontier key is then one byte below the separator 255 (``_frontier``)
-_WALK_MAX_RANK = 22
-
 # exhaustive verify: the largest rank where a failing configuration sends
-# the run on to the walk, which lists every failing word (the clean walk
-# takes about a minute and 620 MB at n = 7), and the largest rank of all:
-# the column table of ``_failing_triples`` peaked at 570 MB at n = 20 (49 s
-# on a 2-core VM) and doubles with each rank
+# the run on to list every failing word (``_failing_words``), whose number
+# grows with the number of all words, and the largest rank of all: the
+# column table of ``_failing_triples`` peaked at 570 MB at n = 20 (49 s on
+# a 2-core VM) and doubles with each rank
 _LISTED_MAX_RANK = 7
 _EXHAUSTIVE_MAX_RANK = 20
 
 
-def _frontier(state, opened, lower, acc, weight, unit, size: int) -> tuple[bytes, int]:
-    """(key, dirty) of a node of ``_walk``: its frontier as bytes, and how
-    many faults the lanes that ``opened`` and ``lower`` name hold (acc_j !=
-    unit and w_j > 7 count one each).
-
-    The key holds the strings, then the entries of ``opened`` and then of
-    ``lower`` joined by the byte 255, which no lane takes, then the named
-    lanes' w_j, one byte each, and their acc_j, ``size`` signed bytes each,
-    in the order of each lane's first appearance.  The strings and entries
-    fix how many lanes follow and every value has a fixed width, so equal
-    keys are equal frontiers; a value too large for its bytes raises.  The
-    lanes are ``_Sweep.lanes``, one byte each, so n <= ``_WALK_MAX_RANK``."""
-    sides = b"\xff".join(opened + lower)
-    lanes = dict.fromkeys(sides)
-    del lanes[255]
-    parts = [bytes(state), sides, bytes(map(weight.__getitem__, lanes))]
-    dirty = 0
-    for j in lanes:
-        x = acc[j]
-        dirty += (x != unit[j]) + (weight[j] > 7)
-        parts.append(x.to_bytes(size, "little", signed=True))
-    return b"".join(parts), dirty
-
-
-class _Sweep:
-    """A word's wiring trace, letter by letter, with the counters of the
-    certificate: the step that ``_walk`` takes at each node of the prefix
-    tree, where every prefix needs its acc_j for the frontier key.
-
-    ``push(i)`` swaps the strings at levels i and i+1, whose crossing is
-    the root of lane r, and closes the chamber open at level i, if one is:
-    its row (-1 at its left and right crossings, +1 at the crossings one
-    level up or down in between, as in ``cone.root_rows``) and its column
-    (``_packed_column`` of ``below[i]``, the strings under level i, as in
-    ``formula_vectors``, memoised per chamber set) are fixed there.  For
-    each (j, a) of the row it adds a·column to acc_j, the running column j
-    of V·M, and |a| = 1 to the column weight w_j.  The lanes of the chamber
-    open at level i are kept on two sides, each in the order of its
-    crossings: ``opened[i]`` holds its left crossing, then the crossings at
-    level i-1 since, and ``lower[i]`` the crossings at level i+1 since.
-    ``faults`` counts the crossed lanes j with acc_j != 1 << width·j,
-    those with w_j > 7, and the closed chambers whose column is illegal or
-    fails ``RankTable.mask``.  The simple rows and columns are in from the
-    root (``RankTable``).  ``lanes[j]`` is lane j as one byte below the
-    keys' separator 255 (``_frontier``), so n <= ``_WALK_MAX_RANK``.
-    ``push`` works in place and is never undone: ``_walk`` pushes each
-    child on a ``copy()`` of its parent.
-
-    The two sides make every prefix of one commutation class reach the
-    same sweep.  Two letters at one level never commute, nor do letters at
-    adjacent levels; so the letters i-1 between two letters i are the same,
-    in the same order, in every word of the class, and each side's time
-    order is canonical.  Letters i-1 and i+1 commute, and one list of both
-    would record the order in which a word happens to interleave them.
-    The lanes of a row are distinct, and the row adds to each on its own:
-    acc_j, w_j and the change in ``faults`` do not depend on the order in
-    which its lanes are taken.
-
-    Once every letter of a reduced word of w0 is in, every lane is crossed
-    and every chamber closed, so the rows and columns are the word's, and
-    the word is certified iff ``faults`` is 0.  A chamber whose
-    ``_packed_column`` raises leaves the word uncertified: its per-word
-    check raises the error.
-
-    Soundness, as in ``cone.certify_inverse`` with b = width - 4:
-    ``RankTable.mask`` admits only entries in [0, 2^b), and w_j <= 7, so
-    each digit (V·M)[i][j] of acc_j is at most 7·(2^b - 1) < 2^(width-1)
-    in absolute value.  If acc_j is the unit, the digits of V·M - I, each
-    below 2^width in absolute value, sum to zero with the weights
-    2^(width·i); the lowest nonzero one would be a multiple of 2^width, so
-    none is and V·M = I, which proves V = M^-1 for the square integer M.
-    The weights are counted, not read off the shape of the rows, so the
-    proof holds whatever the rows are.
-    """
-
-    __slots__ = (
-        "table", "lanes", "state", "below", "opened", "lower", "acc", "weight", "faults",
-        "columns",
-    )
-
-    def __init__(self, table: RankTable):
-        if table.n > _WALK_MAX_RANK:
-            raise ValueError(f"the sweep takes rank at most {_WALK_MAX_RANK}, got {table.n}")
-        self.table = table
-        self.lanes = tuple(bytes((j,)) for j in range(table.k))  # lane j as one byte
-        self.state = list(range(1, table.n + 2))  # the strings, top to bottom
-        self.below = list(table.below)
-        self.opened = [b""] * (table.n + 2)  # level i -> left crossing, crossings at i-1
-        self.lower = [b""] * (table.n + 2)  # level i -> crossings at i+1
-        self.acc, self.weight, self.faults = list(table.acc), list(table.weight), table.faults
-        self.columns = {}  # chamber set, as a bit mask of strings -> its column, None if it raised
-
-    def copy(self) -> _Sweep:
-        """A sweep in the same state, whose pushes leave this one as it is:
-        its own six lists, and this one's table, lanes and column memo (the
-        memo only gains columns, which hold in every sweep of the rank)."""
-        other = _Sweep.__new__(_Sweep)
-        other.table, other.lanes, other.columns = self.table, self.lanes, self.columns
-        other.state, other.below = self.state.copy(), self.below.copy()
-        other.opened, other.lower = self.opened.copy(), self.lower.copy()
-        other.acc, other.weight, other.faults = self.acc.copy(), self.weight.copy(), self.faults
-        return other
-
-    def push(self, i: int) -> None:
-        table, state, opened, lower = self.table, self.state, self.opened, self.lower
-        acc, weight, unit = self.acc, self.weight, table.unit
-        a, b = state[i - 1], state[i]
-        r, left, under, down = table.lane[a][b], opened[i], lower[i], opened[i + 1]
-        crossing = self.lanes[r]
-        faults = self.faults + (acc[r] != unit[r]) + (weight[r] > 7)  # r is crossed now
-        if left:
-            members, columns = self.below[i], self.columns
-            if members not in columns:
-                try:
-                    columns[members] = _packed_column(table, members)
-                except Exception:  # raised again, naming the word, by its own check
-                    columns[members] = None
-            column = columns[members]
-            if column is None or column & ~table.mask:
-                faults += 1
-                column = 0
-            # -column to the left and right crossings, +column to both sides
-            for lanes, d in ((left[:1] + crossing, -column), (left[1:] + under, column)):
-                for j in lanes:
-                    x, w = acc[j], weight[j]
-                    acc[j] = y = x + d
-                    weight[j] = w + 1
-                    faults += (x == unit[j]) - (y == unit[j]) + (w == 7)
-        if opened[i - 1]:
-            lower[i - 1] += crossing
-        if down:
-            opened[i + 1] = down + crossing
-        opened[i], lower[i] = crossing, b""
-        state[i - 1], state[i] = b, a
-        self.below[i] ^= 1 << a | 1 << b
-        self.faults = faults
-
-
 def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
     """(acc, weight, faults) of the certificate of ``word``, lane by lane:
-    the column sums acc_j of V·M, the column weights w_j, and the faults,
-    all as ``_Sweep`` has them once every letter is in.
+    the column sums acc_j of V·M, the column weights w_j, and the faults:
+    the lanes j with acc_j != ``RankTable.unit[j]``, those with w_j > 7,
+    the chambers whose column raises or fails ``RankTable.mask``, and the
+    simple columns that fail it (``RankTable.faults``).  The word is
+    certified iff there are none.
 
     Two passes.  Over the letters, each level keeps its open region, with
     id 0 for its first, unbounded one.  Crossing t opens region t at its
@@ -528,9 +378,17 @@ def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
     col[down] - col[left] - col[t], and one weight for each of the four
     that was closed; a region that nothing closed, the first or the last
     of a level, is no chamber and adds 0 to both.  Every lane is crossed
-    once, so acc and weight are complete.  The faults count as in
-    ``_Sweep``, whose soundness argument holds as it stands: the weights
-    are counted, one per chamber term.
+    once, so acc and weight are complete.
+
+    Soundness, as in ``cone.certify_inverse`` with b = width - 4:
+    ``RankTable.mask`` keeps only entries in [0, 2^b), and w_j <= 7, so
+    each digit (V·M)[i][j] of acc_j is at most 7·(2^b - 1) < 2^(width-1)
+    in absolute value.  If acc_j is the unit, the digits of V·M - I, each
+    below 2^width in absolute value, sum to zero with the weights
+    2^(width·i); the lowest nonzero one would be a multiple of 2^width, so
+    none is and V·M = I, which proves V = M^-1 for the square integer M.
+    The weights are counted, one per chamber term, not read off the shape
+    of the rows, so the proof holds whatever the rows are.
     """
     table = rank_table(word.n)
     lane, below, mask = table.lane, list(table.below), table.mask
@@ -662,84 +520,56 @@ def _witness(n: int, x: int, y: int, below: int) -> ReducedWord:
     return ReducedWord(n, tuple(letters))
 
 
-def _walk(n: int, uncertified):
-    """Certify the reduced words of w0 along their prefix tree, and call
-    ``uncertified`` on each word it does not certify, in the order of
-    ``enumerate_reduced_words``: (words, internal nodes expanded).
+def _failing_words(n: int, failing: set):
+    """Yield the reduced words of w0 that meet a crossing configuration in
+    ``failing``, a set of triples (x, y, X) as ``_failing_triples`` lists
+    them, in the order of ``enumerate_reduced_words``.  Given every failing
+    configuration of rank n, these are the words that are not certified
+    (module docstring).
 
-    A recursion over reduced prefixes, letters smallest first, with one
-    step of the sweep per node (``_Sweep``), taken on a copy of the
-    parent's: a chamber's row and column are fixed where it closes, and
-    every word below shares them.  At a leaf the word is certified iff
-    ``faults`` is 0.  The recursion is k + 1 <= 254 frames deep for
-    n <= ``_WALK_MAX_RANK``, below Python's default limit of 1000.
+    A depth-first search of the weak order from the identity, letters
+    smallest first.  A lengthening letter i crosses the strings a =
+    state[i-1] < b = state[i] above the strings state[i+1:], so its
+    configuration is (a, b, their bit mask), fixed by the permutation
+    before it.  Once a prefix meets a failing configuration, every
+    completion of it is listed.  Otherwise whether some completion meets
+    one depends on the prefix's permutation alone.  A memo of the clean
+    permutations, as bytes, those below which no completion meets one,
+    each stored once all its children are done, prunes every clean subtree
+    after its first visit; it holds at most (n+1)! keys.  The words come
+    one at a time, so the first can be checked before the rest are found.
+    The recursion is k + 1 generator frames deep."""
+    k = n * (n + 1) // 2
+    state, letters, clean = list(range(1, n + 2)), [], set()
 
-    Equal frontiers share one subtree: the transfer-matrix method
-    (Stanley, *Enumerative Combinatorics I*, §4.7) on the frontier of the
-    sweep, as in frontier-based ZDD search (Knuth, *TAOCP* 7.1.4).  A row
-    touches its own crossing and lanes that ``opened`` and ``lower`` name,
-    and nothing else, so a crossed lane that no entry names never changes
-    again, and a lane not yet crossed still holds its value from the root,
-    which the strings fix.  A node is clean when ``faults`` equals the
-    faults of the named lanes (``_frontier``): no closed chamber failed and
-    every crossed lane that no entry names is clean.  The key of a clean
-    node then fixes everything the walk reads below it, ``faults``
-    included, and a column depends on its chamber set alone; so clean
-    nodes with equal keys have the same number of words below them, and
-    the same words certified.  The key holds each open chamber's two sides
-    apart, each in the order of its crossings, which is the same in every
-    word of the prefix's commutation class (``_Sweep``); so the prefixes of
-    one class, one pseudoline arrangement (heaps: Viennot 1986;
-    Cartier–Foata), write one key, and their subtrees are walked once.  No
-    order between the sides is needed: a row adds to each of its lanes on
-    its own, in whatever order the lanes are taken.
-    The memo maps the key of a clean node whose words were all certified
-    to their number, and a node whose key it holds is not expanded.  Faults
-    never clear below a dirty node, so it certifies no word; it is
-    expanded node by node, as is a clean node with an uncertified word
-    below it, and no uncertified word is skipped.  The memo lives for one
-    call, which runs in one process: split between processes, each share
-    would meet almost every frontier of the whole walk again.  The keys
-    hold lanes as bytes, so n <= ``_WALK_MAX_RANK``.
-    """
-    table = rank_table(n)
-    k, unit = table.k, table.unit
-    # an acc_j sums at most k + 1 values below 2^(k·width), so with its sign
-    # it fits k·width + 9 bits
-    size = (k * table.width + 16) // 8
-    memo = {}  # key of a clean node -> its words, all certified
-    expanded = 0
-
-    def visit(node: _Sweep, prefix: tuple) -> tuple[int, bool]:
-        # (words below the node that prefix reaches, whether all certified)
-        nonlocal expanded
-        if len(prefix) == k:
-            if node.faults:
-                uncertified(_reduced_by_construction(n, prefix))
-            return 1, not node.faults
-        key, dirty = _frontier(
-            node.state, node.opened, node.lower, node.acc, node.weight, unit, size
-        )
-        clean = dirty == node.faults
-        if clean and key in memo:
-            return memo[key], True
-        expanded += 1
-        words, certified = 0, True
-        state = node.state
+    def visit(hit: bool):
+        # yield the listed words through ``letters``; return whether any are
+        if len(letters) == k:
+            if hit:
+                yield _reduced_by_construction(n, tuple(letters))
+            return hit
+        if not hit:
+            key = bytes(state)
+            if key in clean:
+                return False
+        found = False
         for i in range(1, n + 1):
-            if state[i - 1] < state[i]:
-                child = node.copy()
-                child.push(i)
-                below, passed = visit(child, prefix + (i,))
-                words += below
-                certified = certified and passed
-        if clean and certified:
-            memo[key] = words
-        return words, certified
+            a, b = state[i - 1], state[i]
+            if a < b:
+                below = sum(1 << s for s in state[i + 1 :])
+                state[i - 1], state[i] = b, a
+                letters.append(i)
+                found |= yield from visit(hit or (a, b, below) in failing)
+                letters.pop()
+                state[i - 1], state[i] = a, b
+        if not (hit or found):
+            clean.add(key)
+        return found
 
-    words = visit(_Sweep(table), ())[0]
-    visit = None  # it holds itself and the memo in a cycle: free the memo now
-    return words, expanded
+    try:
+        yield from visit(False)
+    finally:
+        visit = None  # it holds itself, and with it the memo, in a cycle: free both now
 
 
 def _check_word(word: ReducedWord) -> list:
@@ -817,9 +647,9 @@ def verify_all(
     a ValueError naming its letters.
 
     When a configuration fails, an exhaustive run up to
-    ``_LISTED_MAX_RANK`` walks the prefix tree (``_walk``) and checks every
-    word that the walk does not certify, in the order of their letters;
-    above it, it checks one word per failing configuration
+    ``_LISTED_MAX_RANK`` checks every word that meets a failing
+    configuration (``_failing_words``), in the order of their letters, as
+    each is found; above it, it checks one word per failing configuration
     (``_witness``), in the order of the configurations.  An exhaustive run
     takes n <= ``_EXHAUSTIVE_MAX_RANK`` and runs in this process, whatever
     ``jobs`` says.  A sampled run is split into min(jobs, cores, count)
@@ -841,12 +671,12 @@ def verify_all(
                 f"exhaustive verify takes rank at most {_EXHAUSTIVE_MAX_RANK}, got {n}: "
                 "its table of chamber columns would pass 1 GB"
             )
-        failing, mismatches = _failing_triples(n), []
+        failing = _failing_triples(n)
         if failing and n <= _LISTED_MAX_RANK:
-            checked, _ = _walk(n, lambda word: mismatches.extend(_check_word(word)))
-            return VerifyReport(n=n, checked=checked, mismatches=mismatches)
-        for triple in failing:
-            mismatches += _check_word(_witness(n, *triple))
+            listed = _failing_words(n, set(failing))
+        else:
+            listed = (_witness(n, *triple) for triple in failing)
+        mismatches = [record for word in listed for record in _check_word(word)]
         return VerifyReport(n=n, checked=reduced_word_count(n), mismatches=mismatches)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")

@@ -177,7 +177,7 @@ class TestFormulas:
 
     @pytest.mark.parametrize("n", [1, 4, 31, 32, 40])
     def test_mask_keeps_the_bits_the_weight_cap_allows(self, n):
-        # the prefix tree caps column weights at 7, so b = width - 4: a
+        # the certificate caps column weights at 7, so b = width - 4: a
         # digit of V·M stays below 7·(2^b - 1) < 2^(width-1), and the
         # mask still admits every entry, at most n // 2
         table = spanning.rank_table(n)
@@ -264,7 +264,7 @@ def mask_of(strings):
 
 
 def plant_chamber_columns(monkeypatch, planted):
-    """Make ``_packed_column``, which the sweep and ``formula_vectors``
+    """Make ``_packed_column``, which the certificate and ``formula_vectors``
     share, give ``planted(members, n)``, a RootVector, packed as the column
     of each chamber set ``members``."""
 
@@ -292,20 +292,19 @@ def corrupt(monkeypatch, target):
 def plain_walk(n):
     """The reference walker: every reduced word of w0, in the order of
     ``enumerate_reduced_words``, with whether the prefix tree certifies it:
-    (word, certified).  It visits every node of the tree, and certifies as
-    ``spanning._walk`` does, without the memo; ``opened`` holds (left lane,
-    ((lane, 1), ...)) per level."""
+    (word, certified).  It visits every node of the tree and certifies with
+    one step per letter, from the root of ``spanning.rank_table(n)`` (which
+    ``with_root`` may plant), without a memo: the word-level reference of
+    ``spanning._failing_words`` and ``spanning._lane_sums``.  ``opened``
+    holds (left lane, ((lane, 1), ...)) per level."""
     table = spanning.rank_table(n)
     k, width, mask = table.k, table.width, table.mask
     unit = [1 << width * j for j in range(k)]
     lane = [[0] * (n + 2) for _ in range(n + 2)]
     for i, (p, q) in enumerate(words.all_positive_roots(n)):
         lane[p][q] = i
-    acc, weight = [0] * k, [0] * k
-    for j, column in enumerate(table.simple, 1):
-        acc[lane[j][j + 1]] += column
-        weight[lane[j][j + 1]] += 1
-    faults = sum(x != u for x, u in zip(acc, unit)) + sum(c & ~mask != 0 for c in table.simple)
+    acc, weight = list(table.acc), list(table.weight)
+    faults = sum(x != u for x, u in zip(acc, unit)) + sum(w > 7 for w in weight) + table.faults
     columns = {}
     state = list(range(1, n + 2))
     below = [sum(1 << s for s in state[i:]) for i in range(n + 1)]
@@ -360,15 +359,30 @@ def plain_walk(n):
             return
 
 
-def memo_walk(n):
-    """(words, states expanded, uncertified words) of ``spanning._walk``."""
-    uncertified = []
-    count, expanded = spanning._walk(n, uncertified.append)
-    return count, expanded, uncertified
+class Lookups(set):
+    """A set of failing configurations that counts the lookups of
+    ``spanning._failing_words`` in it, and raises once they pass ``bound``,
+    so that a search gone astray stops before it fills the memory."""
+
+    def __init__(self, triples, bound):
+        super().__init__(triples)
+        self.count, self.bound = 0, bound
+
+    def __contains__(self, triple):
+        self.count += 1
+        if self.count > self.bound:
+            raise RuntimeError(f"more than {self.bound} lookups")
+        return super().__contains__(triple)
+
+
+def listed_words(n):
+    """The words that ``spanning._failing_words`` lists from the failing
+    configurations of rank n."""
+    return list(spanning._failing_words(n, set(spanning._failing_triples(n))))
 
 
 # (n, mode, count, words checked) of runs that certify every word by the
-# sweep: along the prefix tree, and along each sampled word
+# certificate: by each crossing configuration, and along each sampled word
 PASSING_RUNS = [(4, "exhaustive", 1, 768), (4, "sample", 50, 50), (7, "sample", 40, 40)]
 
 
@@ -383,20 +397,12 @@ def every_triple(n):
 
 
 def certify_no_leaf(monkeypatch):
-    """Make the crossing check, the prefix tree and the single-word sweep
-    certify no word, so that ``verify_all`` checks every word on its own
+    """Make the crossing check and the single-word certificate certify no
+    word, so that ``verify_all`` checks every word on its own
     (``_verdicts``), in both modes, through the per-word layers that a
-    defect may be planted in: every configuration fails, and an exhaustive
-    run goes on to the walk."""
-
-    def walk(n, uncertified):
-        count = 0
-        for count, (word, _) in enumerate(plain_walk(n), 1):
-            uncertified(word)
-        return count, None
-
+    defect may be planted in: every configuration fails, so an exhaustive
+    run lists every word (``_failing_words``)."""
     monkeypatch.setattr(spanning, "_failing_triples", lambda n: list(every_triple(n)))
-    monkeypatch.setattr(spanning, "_walk", walk)
     monkeypatch.setattr(spanning, "_certified", lambda word: False)
 
 
@@ -846,30 +852,33 @@ class TestVerifyAll:
 
 
 class TestWalk:
-    """The exhaustive path: ``_walk`` certifies along the prefix tree, and
-    merges equal frontiers; ``plain_walk`` is its reference."""
+    """The exhaustive listing of failing words (``_failing_words``), a
+    search of the weak order with a memo per permutation, against the
+    reference walker ``plain_walk``, which certifies every word of the
+    prefix tree letter by letter."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_yields_every_word_in_order_certified(self, n):
         walked = list(plain_walk(n))
         assert [w for w, _ in walked] == list(enumerate_reduced_words(n))
         assert all(certified for _, certified in walked)
-        count, _, uncertified = memo_walk(n)
-        assert (count, uncertified) == (len(walked), [])
+        assert listed_words(n) == []
+        # with every configuration failing, every word is listed, in order
+        every = list(spanning._failing_words(n, set(every_triple(n))))
+        assert every == [w for w, _ in walked]
 
     def test_certifies_every_word_from_few_states(self):
-        # a clean exhaustive run no longer walks, so the walk is run here,
-        # up to n = 6, where the crossing check passes too
-        states = {}
+        # with no failing configuration, up to n = 6, where the crossing
+        # check passes, the search lists no word and expands each of the
+        # (n+1)! permutations once: it looks up the configuration of each
+        # of their n·(n+1)!/2 lengthening letters once, where the plain walk
+        # expands 802402 nodes at n = 5
         for n in range(1, 7):
-            count, states[n], uncertified = memo_walk(n)
-            assert (count, uncertified) == (staircase_tableaux_count(n), [])
             assert spanning._failing_triples(n) == []
-        # the plain walk expands 802402 nodes at n = 5; a clean condition
-        # that let uncrossed lanes in would be false at almost all of them,
-        # and a key that kept the order in which commuting letters came
-        # (one list per chamber for both sides) expands 476 and 8085
-        assert (states[4], states[5], states[6]) == (348, 4608, 76709), states
+            lookups = n * math.factorial(n + 1) // 2
+            failing = Lookups((), lookups)
+            assert list(spanning._failing_words(n, failing)) == []
+            assert failing.count == lookups, n
 
     def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
         calls = []
@@ -905,8 +914,8 @@ class TestWalk:
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_agrees_with_certify_inverse_under_a_planted_defect(self, monkeypatch, held, missing):
         # +1 in lane 0 of the columns of the sets that hold one string but
-        # not another: the memo, the reference walker and the per-word
-        # certificate accept the same words
+        # not another: the listing, the reference walker and the per-word
+        # certificate reject the same words
         real = spanning._packed_column
 
         def planted(table, members):
@@ -923,118 +932,39 @@ class TestWalk:
                 assert certified == cone.certify_inverse(rows, packed, width), word.letters
                 if not certified:
                     rejected.append(word)
-            count, _, uncertified = memo_walk(n)
-            assert (count, uncertified) == (staircase_tableaux_count(n), rejected)
+            assert listed_words(n) == rejected, n
         assert 0 < len(rejected) < 768
 
-    def test_key_names_the_frontier(self):
-        # level 1 names lane 0 as its left crossing and lane 4 on its lower
-        # side, level 3 names the lanes 1 and 2; lanes 3 and 5 are unnamed
-        state = [2, 1, 3, 4]
-        opened = [b"", bytes([0]), b"", bytes([1, 2]), b""]
-        lower = [b"", bytes([4]), b"", b"", b""]
-        unit = [1 << 8 * j for j in range(6)]
-        acc, weight = [unit[0], 5, unit[2], -7, unit[4], unit[5]], [3, 1, 2, 9, 4, 1]
-
-        def frontier(state=state, opened=opened, lower=lower):
-            return spanning._frontier(state, opened, lower, acc, weight, unit, 6)
-
-        key, dirty = frontier()
-        assert isinstance(key, bytes) and dirty == 1  # lane 1's acc
-        for j in range(6):
-            for values in (acc, weight):
-                values[j] += 1
-                assert (frontier()[0] != key) == (j in (0, 1, 2, 4)), (j, values is acc)
-                values[j] -= 1
-        moves = [
-            {"state": [1, 2, 3, 4]},
-            {"opened": [b"", bytes([0, 1]), b"", bytes([2]), b""]},
-            {"opened": [b"", bytes([0]), b"", bytes([2, 1]), b""]},
-            {"lower": [b"", b"", bytes([4]), b"", b""]},
-            # lane 2 from level 3's upper side to its lower side
-            {"opened": [b"", bytes([0]), b"", bytes([1]), b""],
-             "lower": [b"", bytes([4]), b"", bytes([2]), b""]},
-        ]
-        for move in moves:
-            assert frontier(**move)[0] != key, move
-        weight[2] = 8
-        assert frontier()[1] == 2
-        weight[4] = 8
-        assert frontier()[1] == 3
-
-    @pytest.mark.parametrize("n", [22, 23])
-    def test_key_bytes_up_to_255_roots(self, n):
-        # n = 22 has 253 positive roots, each lane one byte below the
-        # separator 255; n = 23 has 276, and no sweep is built for it
-        table = spanning.rank_table(n)
-        if n == 23:
-            assert table.k == 276
-            with pytest.raises(ValueError, match=r"^the sweep takes rank at most 22, got 23$"):
-                spanning._Sweep(table)
-            return
-        sweep = spanning._Sweep(table)
-        for i in (1, 2, 1):  # the third letter closes the chamber at level 1
-            sweep.push(i)
-        args = (sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit)
-        key, _ = spanning._frontier(*args, (table.k * table.width + 16) // 8)
-        assert table.k == 253 and key.startswith(bytes(sweep.state))
-
-    def test_reaches_a_leaf_at_rank_22(self, monkeypatch):
-        # every chamber column faults, so no node is clean and the walk goes
-        # straight down to the first word, 253 letters deep, one frame per
-        # letter, without a RecursionError
-        class Stop(Exception):
-            pass
-
-        def uncertified(word):
-            raise Stop(word)
-
-        monkeypatch.setattr(spanning, "_packed_column", lambda table, members: -1)
-        with pytest.raises(Stop) as stop:
-            spanning._walk(22, uncertified)
-        (word,) = stop.value.args
-        assert word == next(enumerate_reduced_words(22)) and word.k == 253
+    def test_reaches_a_leaf_at_rank_22(self):
+        # the first crossing of the first word fails, so every word that
+        # starts with letter 1 is listed; the first of them comes 253
+        # letters deep, one generator frame per letter, without a
+        # RecursionError, after one lookup, and before any other word is
+        # found.  The lookups are bounded: a search that missed the first
+        # word would not end at this rank
+        n = 22
+        failing = Lookups({(1, 2, (1 << n + 2) - 8)}, 1000)  # 1, 2 above 3, ..., 23
+        word = next(spanning._failing_words(n, failing))
+        assert word == next(enumerate_reduced_words(n)) and word.k == 253
+        assert failing.count == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_commuting_letters_reach_one_key(self, n):
-        # p·a·i and p·i·a, |a - i| >= 2, are one commutation class: the
-        # sweep reaches one state, and so one key, along both.  Every reduced
-        # prefix p is covered: the walk from p depends only on the sweep's
-        # state at p, so each state is expanded once
-        table = spanning.rank_table(n)
-        size = (table.k * table.width + 16) // 8
-
-        def now(sweep):
-            lists = (sweep.state, sweep.below, sweep.opened, sweep.lower, sweep.acc, sweep.weight)
-            return tuple(map(tuple, lists)) + (sweep.faults,)
-
-        def reach(sweep, letters):
-            sweep = sweep.copy()
-            for i in letters:
-                sweep.push(i)
-            key = spanning._frontier(
-                sweep.state, sweep.opened, sweep.lower, sweep.acc, sweep.weight, table.unit, size
-            )
-            return now(sweep), key
-
-        seen, pairs = set(), 0
-        stack = [spanning._Sweep(table)]
-        while stack:
-            sweep = stack.pop()
-            here = now(sweep)
-            if here not in seen:
-                seen.add(here)
-                ascents = [i for i in range(1, n + 1) if sweep.state[i - 1] < sweep.state[i]]
-                for a, i in itertools.combinations(ascents, 2):
-                    if i - a >= 2:
-                        assert reach(sweep, (a, i)) == reach(sweep, (i, a)), (here, a, i)
-                        pairs += 1
-                for i in ascents:
-                    child = sweep.copy()
-                    child.push(i)
-                    stack.append(child)
-                assert now(sweep) == here  # a push on a copy leaves its parent as it is
-        assert pairs > 0 or n < 3
+        # p·a·i and p·i·a, |a - i| >= 2, reach one permutation, the key of
+        # the search's memo, and cross the same two configurations; so the
+        # words listed from any failing set are closed under commutation
+        # moves.  Each configuration on its own up to n = 4, and at n = 5
+        # the strings 2 and 4 crossing above 5 and 6
+        triples = list(every_triple(n))
+        failing_sets = [{t} for t in triples] if n <= 4 else [{(2, 4, 1 << 5 | 1 << 6)}]
+        for failing in failing_sets:
+            listed = {word.letters for word in spanning._failing_words(n, failing)}
+            assert listed, failing  # realisation: every configuration is met
+            for letters in listed:
+                for t, (a, i) in enumerate(zip(letters, letters[1:])):
+                    if abs(a - i) >= 2:
+                        moved = letters[:t] + (i, a) + letters[t + 2 :]
+                        assert moved in listed, (failing, letters, t)
 
     def test_raising_column_names_the_first_word_below(self, monkeypatch):
         # a chamber set whose column raises leaves the words below it
@@ -1051,30 +981,41 @@ class TestWalk:
             w for w in enumerate_reduced_words(3)
             if bad in {c.chamber_set for c in wiring.chambers(wiring.build_wiring(w))}
         ]
-        assert memo_walk(3)[2] == holds == [w for w, certified in plain_walk(3) if not certified]
+        assert listed_words(3) == holds == [w for w, certified in plain_walk(3) if not certified]
         message = rf"^word {re.escape(str(holds[0].letters))}: ValueError: chamber \(\d+, \d+\): "
         with pytest.raises(ValueError, match=message + "planted failure"):
             verify_all(3)
 
     def test_memo_is_released_after_each_call(self):
         # a memo kept alive past its call (a reference cycle, a cache) would
-        # raise the peak RSS of a process that walks often.  With the cyclic
-        # collector off, only reference counts free the memo; the memory
-        # still allocated after a call at n = 5 (4608 keys, about 1 MB if
-        # kept) is measured against the memory before it
-        spanning._walk(5, None)  # the rank's table and pieces, built once
+        # raise the peak RSS of a process that lists often.  With the cyclic
+        # collector off, only reference counts free the memo.  The memory
+        # still allocated after a clean search at n = 6 (5040 permutations,
+        # about 350 kB if kept) is measured against the memory before it;
+        # so is the memory left after a listing is dropped at its first word,
+        # the way an error on that word's check drops it.  The strings 2 and
+        # 3 crossing above 4, 5 and 6 are first met after 4976 permutations
+        n, late = 6, (2, 3, 1 << 4 | 1 << 5 | 1 << 6)
+        assert list(spanning._failing_words(n, set())) == []  # the rank's table, built once
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            assert spanning._walk(5, None) == (292864, 4608)
+            assert list(spanning._failing_words(n, set())) == []
             kept = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            listing = spanning._failing_words(n, {late})
+            first = next(listing)
+            del listing
+            dropped = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
             if enabled:
                 gc.enable()
-        assert kept < 64 << 10, f"{kept} bytes outlived the walk"
+        assert late in {t for _, t in crossing_triples(first)}
+        assert kept < 16 << 10, f"{kept} bytes outlived the search"
+        assert dropped < 16 << 10, f"{dropped} bytes outlived the listing"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_and_columns_are_constant_on_a_commutation_class(self, n):
@@ -1135,9 +1076,9 @@ def failing_lanes(word, faulty):
 
 def plant(monkeypatch, defect):
     """Plant a ``_packed_column`` defect: ("held", h, m) adds 1 to lane 0 of
-    the sets that hold string h and not m (``TestWalk``), ("set", S) adds 1
-    to lane 0 of the set S alone, ("raise", S) makes S's column raise, and
-    ("negative", S) gives S a column of -1 in lane 0."""
+    the sets that hold string h and not m, ("set", S) adds 1 to lane 0 of
+    the set S alone, ("raise", S) makes S's column raise, and ("negative",
+    S) gives S a column of -1 in lane 0."""
     real = spanning._packed_column
     kind, *args = defect
 
@@ -1154,6 +1095,16 @@ def plant(monkeypatch, defect):
     monkeypatch.setattr(spanning, "_packed_column", column)
 
 
+@functools.lru_cache(maxsize=None)
+def walked_uncertified(defect, n):
+    """The words of rank n that ``plain_walk`` does not certify with
+    ``defect`` planted (``plant``), in order; kept for the tests that share
+    a defect, as the walk takes seconds at n = 5."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        plant(monkeypatch, defect)
+        return [word for word, certified in plain_walk(n) if not certified]
+
+
 HELD = [("held", 2, 4), ("held", 4, 2), ("held", 1, 3)]
 RAISE, NEGATIVE = ("raise", frozenset({1, 3, 4})), ("negative", frozenset({2, 4}))
 
@@ -1167,8 +1118,10 @@ def defect_id(defect):
 
 class TestCrossings:
     """The exhaustive check (``spanning._failing_triples``): each crossing
-    configuration (x, y, X) once, against the walk, which checks each word;
-    and the witness word of a configuration (``spanning._witness``)."""
+    configuration (x, y, X) once, against the reference walker, which checks
+    each word; the words listed from the failing configurations
+    (``spanning._failing_words``); and the witness word of a configuration
+    (``spanning._witness``)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_witness_crosses_x_and_y_above_the_set(self, n):
@@ -1181,23 +1134,16 @@ class TestCrossings:
 
     @pytest.mark.parametrize("defect", HELD + [RAISE, NEGATIVE], ids=defect_id)
     def test_verdict_equals_the_walk_verdict(self, monkeypatch, defect):
-        # the walk stops at its first uncertified word; the clean walk is
-        # TestWalk's, up to n = 6
-        class Uncertified(Exception):
-            pass
-
-        def stop(word):
-            raise Uncertified(word)
-
+        # the reference walker's verdict up to n = 4; up to n = 6, whether
+        # the listing finds a word, which it stops at
         plant(monkeypatch, defect)
         for n in range(1, 7):
-            try:
-                spanning._walk(n, stop)
-                certified = True
-            except Uncertified:
-                certified = False
-            assert certified == (not spanning._failing_triples(n)), n
-        assert not certified
+            failing = spanning._failing_triples(n)
+            first = next(spanning._failing_words(n, set(failing)), None)
+            if n <= 4:
+                assert first == next(iter(walked_uncertified(defect, n)), None), n
+            assert (first is None) == (not failing), n
+        assert failing
 
     @pytest.mark.parametrize(
         "defect, ranks",
@@ -1208,11 +1154,32 @@ class TestCrossings:
         plant(monkeypatch, defect)
         for n in range(1, ranks + 1):
             failing, faulty = set(), faulty_columns(n)
-            for word in memo_walk(n)[2]:
+            for word in walked_uncertified(defect, n):
                 failing |= failing_lanes(word, faulty)
             found = spanning._failing_triples(n)
             assert found == [t for t in every_triple(n) if t in failing], n
         assert found
+
+    @pytest.mark.parametrize(
+        "defect, ranks",
+        [(d, 4) for d in HELD + [RAISE, NEGATIVE]]
+        + [(("set", frozenset({1, 6})), 5), (("weight", 1, 3), 4)],
+        ids=lambda x: defect_id(x) if isinstance(x, tuple) else f"to-n{x}",
+    )
+    def test_failing_words_are_the_uncertified_words_of_the_walk(self, monkeypatch, defect, ranks):
+        # word for word and in order; ("weight", x, y) starts lane (x, y) at
+        # weight 4 in the root of rank 4 alone (``with_root``), so that its
+        # column weighs 8 where all four sets around it are bounded
+        if defect[0] == "weight":
+            n, (_, x, y) = ranks, defect
+            with_root(monkeypatch, n, weight=[(spanning.rank_table(n).lane[x][y], 4)])
+            expected = {n: [w for w, certified in plain_walk(n) if not certified]}
+        else:
+            plant(monkeypatch, defect)
+            expected = {n: walked_uncertified(defect, n) for n in range(1, ranks + 1)}
+        for n, uncertified in expected.items():
+            assert listed_words(n) == uncertified, n
+        assert uncertified
 
     @pytest.mark.parametrize("planted", [False, True])
     def test_lane_sums_are_the_configuration_sums_on_uniform_words(self, monkeypatch, planted):
@@ -1251,7 +1218,7 @@ class TestCrossings:
         assert spanning._failing_triples(n) == bounded
 
     def test_clean_run_builds_no_word(self, monkeypatch):
-        # neither the walk nor a witness nor a per-word check runs, and
+        # neither the listing nor a witness nor a per-word check runs, and
         # checked is the hook length count
         def called(name):
             def spy(*args):
@@ -1259,16 +1226,17 @@ class TestCrossings:
 
             return spy
 
-        for name in ("_walk", "_witness", "_check_word", "_verdicts"):
+        for name in ("_failing_words", "_witness", "_check_word", "_verdicts"):
             monkeypatch.setattr(spanning, name, called(name))
         for n in range(1, 10):
             report = verify_all(n)
             assert (report.checked, report.mismatches) == (staircase_tableaux_count(n), []), n
 
     def test_records_up_to_rank_7_list_every_failing_word(self, monkeypatch):
-        # the walk names each uncertified word, in the order of its letters
-        plant(monkeypatch, ("set", frozenset({1, 2, 4})))
-        uncertified = memo_walk(4)[2]
+        # each uncertified word is named, in the order of its letters
+        defect = ("set", frozenset({1, 2, 4}))
+        plant(monkeypatch, defect)
+        uncertified = walked_uncertified(defect, 4)
         assert 0 < len(uncertified) < 768
         report = verify_all(4)
         assert report.checked == 768
@@ -1279,7 +1247,7 @@ class TestCrossings:
         failing = spanning._failing_triples(8)
         assert len(failing) == 36
         witnesses = [spanning._witness(8, *t) for t in failing]
-        monkeypatch.setattr(spanning, "_walk", lambda n, uncertified: pytest.fail("walked"))
+        monkeypatch.setattr(spanning, "_failing_words", lambda n, failing: pytest.fail("listed"))
         report = verify_all(8)
         assert report.checked == 29258366996258488320
         assert report.mismatches == [r for w in witnesses for r in spanning._check_word(w)]
@@ -1303,6 +1271,27 @@ def merge(row, extra):
     return tuple((i, a) for i, a in total.items() if a)
 
 
+def column_sums(word):
+    """(acc, weight, faults) of ``word`` from its root rows
+    (``cone.root_rows``) and packed columns V (``formula_vectors``): acc_j
+    sums a·V_i over the entries (j, a) of row i, from a column that fails
+    the lane mask 0, and w_j counts those entries; the faults are the lanes
+    whose sum is not the unit, those that weigh more than 7, and the columns
+    that fail the mask."""
+    table = spanning.rank_table(word.n)
+    chamber_list = wiring.chambers(wiring.build_wiring(word))
+    rows = cone.root_rows(word.n, chamber_list)
+    acc, weight, faults = [0] * table.k, [0] * table.k, 0
+    for row, column in zip(rows, spanning.formula_vectors(word.n, chamber_list)):
+        if column & ~table.mask:
+            faults, column = faults + 1, 0
+        for j, a in row:
+            acc[j] += a * column
+            weight[j] += 1
+    faults += sum(x != u for x, u in zip(acc, table.unit)) + sum(w > 7 for w in weight)
+    return acc, weight, faults
+
+
 def certified_by_certify_inverse(word):
     """Whether the per-word certificate accepts the word's closed-form
     columns: ``cone.certify_inverse`` on its root rows."""
@@ -1313,8 +1302,8 @@ def certified_by_certify_inverse(word):
 
 
 def with_root(monkeypatch, n, acc=(), weight=()):
-    """Make ``rank_table(n)`` a copy of the rank-n table whose sweep starts
-    from a root with the given (lane, value) changes to acc_j and w_j: the
+    """Make ``rank_table(n)`` a copy of the rank-n table whose certificate
+    starts from a root with the given (lane, value) changes to acc_j and w_j: the
     simple rows of a planted matrix."""
     real = spanning.rank_table
     table = copy.copy(real(n))
@@ -1328,10 +1317,11 @@ def with_root(monkeypatch, n, acc=(), weight=()):
 
 
 class TestSweep:
-    """The one certificate step (``spanning._Sweep``), taken along a single
-    word (``_certified``), against the per-word certificate and the
-    reference walker.  CI runs these, and ``TestWalk``, under ``python -O``
-    with ``-k "sweep or walk"``."""
+    """The certificate of a single word, read off the four regions around
+    each crossing (``spanning._lane_sums``, ``_certified``), against the
+    per-word certificate, the reference walker and the column sums of
+    V·M.  CI runs these, ``TestWalk`` and ``TestCrossings`` under
+    ``python -O``."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sweep_agrees_with_certify_inverse_and_the_walk_on_every_word(self, n):
@@ -1347,34 +1337,25 @@ class TestSweep:
             assert spanning._certified(word) is certified_by_certify_inverse(word) is True
 
     @pytest.mark.parametrize("planted", [False, True])
-    def test_sweep_lane_sums_equal_the_walk_step_lane_by_lane(self, monkeypatch, planted):
+    def test_sweep_lane_sums_equal_the_column_sums_of_v_times_m(self, monkeypatch, planted):
         # not only the verdict: every acc_j, every w_j and the fault count
-        # read off the four regions around each crossing equal those of the
-        # walk's step after the word's last letter, also where a planted
-        # column faults
-        real = spanning._packed_column
-
-        def held_without_missing(table, members):  # the planted column (2, 4) of TestWalk
-            strings = strings_of(members)
-            return real(table, members) + (2 in strings and 4 not in strings)
-
+        # read off the four regions around each crossing equal those summed
+        # over the entries of the root rows (``column_sums``), also where a
+        # planted column faults
         if planted:
-            monkeypatch.setattr(spanning, "_packed_column", held_without_missing)
+            plant(monkeypatch, ("held", 2, 4))
         sample = itertools.chain.from_iterable(map(enumerate_reduced_words, range(1, 5)))
         faulty = 0
         for word in itertools.chain(sample, random_words(7, 50, 13)):
-            sweep = spanning._Sweep(spanning.rank_table(word.n))
-            for i in word.letters:
-                sweep.push(i)
             acc, weight, faults = spanning._lane_sums(word)
-            assert (acc, weight, faults) == (sweep.acc, sweep.weight, sweep.faults), word.letters
+            assert (acc, weight, faults) == column_sums(word), word.letters
             faulty += faults > 0
         assert (faulty > 0) is planted
 
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_sweep_agrees_under_a_planted_defect(self, monkeypatch, held, missing):
-        # the planted columns of TestWalk: the sweep, the per-word
-        # certificate and the reference walker accept the same words
+        # the planted columns of TestWalk: the single-word certificate, the
+        # per-word certificate and the reference walker accept the same words
         real = spanning._packed_column
 
         def planted(table, members):
@@ -1392,9 +1373,9 @@ class TestSweep:
 
     def test_sweep_refuses_a_negative_column_whose_sums_are_the_unit(self, monkeypatch):
         # M' adds the last chamber row to the row of simple root 1 (the
-        # sweep starts from the planted sums), and the last chamber's
+        # certificate starts from the planted sums), and the last chamber's
         # column is that of M'^-1, V_c - V_1, which is -1 at (1, 2).
-        # V'·M' = I, with every weight at most 7: a sweep whose mask let
+        # V'·M' = I, with every weight at most 7: a certificate whose mask let
         # every bit through certifies the word, and only the mask rejects it
         n, word = 3, FIG_WORD
         chamber_list = wiring.chambers(wiring.build_wiring(word))
@@ -1413,10 +1394,8 @@ class TestSweep:
         monkeypatch.setattr(spanning, "_packed_column", lambda t, m: planted[m])
         assert not spanning._certified(word)
         table.mask = -1
-        sweep = spanning._Sweep(table)
-        for i in word.letters:
-            sweep.push(i)
-        assert sweep.acc == list(table.unit) and max(sweep.weight) <= 7 and sweep.faults == 0
+        acc, weight, faults = spanning._lane_sums(word)
+        assert acc == list(table.unit) and max(weight) <= 7 and faults == 0
 
     def test_sweep_refuses_a_column_weight_past_seven(self, monkeypatch):
         # M' gives simple root 1 the coefficient -255 at (1, 2), lane 0, and
@@ -1437,11 +1416,9 @@ class TestSweep:
                   for i in range(3)]
         assert digits == [-255, -255, 1]  # column 0 of V·M', not e_0
         table = with_root(monkeypatch, n, weight=[(0, 255)])
-        sweep = spanning._Sweep(table)
-        for i in word.letters:
-            sweep.push(i)
-        assert sweep.acc == list(table.unit) and sweep.weight[0] == 257
-        assert sweep.faults == 1  # lane 0's weight, and nothing else
+        acc, weight, faults = spanning._lane_sums(word)
+        assert acc == list(table.unit) and weight[0] == 257
+        assert faults == 1  # lane 0's weight, and nothing else
         assert not spanning._certified(word)
 
 def kill_children(monkeypatch):
