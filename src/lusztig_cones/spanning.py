@@ -77,11 +77,10 @@ at a crossing.  So every reduced word of w0 is certified iff all
 k·2^(n-1) configurations pass, and each failing one is met by a word
 whose certificate fails.
 
-When one fails, ranks up to ``_LISTED_MAX_RANK`` list every word that
-meets a failing configuration, and so every word that is not certified
-(``_failing_words``); above it each failing configuration gives its
-witness.  A word that is not certified, in any mode, is checked on its
-own (``_verdicts``), which names the failing labels or raises.
+When one fails, each failing configuration gives its witness, and each
+distinct witness is checked once.  A word that is not certified, in any
+mode, is checked on its own (``_verdicts``), which names the failing
+labels or raises.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ from .cone import RootVector
 from .pquiver import PartialQuiver
 from .words import (
     ReducedWord,
-    _reduced_by_construction,
     all_positive_roots,
     edelman_greene,
     hook_walk_tableau,
@@ -349,12 +347,8 @@ def _chamber_fields(members, n: int) -> dict:
     }
 
 
-# exhaustive verify: the largest rank where a failing configuration sends
-# the run on to list every failing word (``_failing_words``), whose number
-# grows with the number of all words, and the largest rank of all: the
-# column table of ``_failing_triples`` peaked at 570 MB at n = 20 (49 s on
-# a 2-core VM) and doubles with each rank
-_LISTED_MAX_RANK = 7
+# exhaustive verify's largest rank: the column table of ``_failing_triples``
+# peaked at 570 MB at n = 20 (49 s on a 2-core VM) and doubles with each rank
 _EXHAUSTIVE_MAX_RANK = 20
 
 
@@ -520,58 +514,6 @@ def _witness(n: int, x: int, y: int, below: int) -> ReducedWord:
     return ReducedWord(n, tuple(letters))
 
 
-def _failing_words(n: int, failing: set):
-    """Yield the reduced words of w0 that meet a crossing configuration in
-    ``failing``, a set of triples (x, y, X) as ``_failing_triples`` lists
-    them, in the order of ``enumerate_reduced_words``.  Given every failing
-    configuration of rank n, these are the words that are not certified
-    (module docstring).
-
-    A depth-first search of the weak order from the identity, letters
-    smallest first.  A lengthening letter i crosses the strings a =
-    state[i-1] < b = state[i] above the strings state[i+1:], so its
-    configuration is (a, b, their bit mask), fixed by the permutation
-    before it.  Once a prefix meets a failing configuration, every
-    completion of it is listed.  Otherwise whether some completion meets
-    one depends on the prefix's permutation alone.  A memo of the clean
-    permutations, as bytes, those below which no completion meets one,
-    each stored once all its children are done, prunes every clean subtree
-    after its first visit; it holds at most (n+1)! keys.  The words come
-    one at a time, so the first can be checked before the rest are found.
-    The recursion is k + 1 generator frames deep."""
-    k = n * (n + 1) // 2
-    state, letters, clean = list(range(1, n + 2)), [], set()
-
-    def visit(hit: bool):
-        # yield the listed words through ``letters``; return whether any are
-        if len(letters) == k:
-            if hit:
-                yield _reduced_by_construction(n, tuple(letters))
-            return hit
-        if not hit:
-            key = bytes(state)
-            if key in clean:
-                return False
-        found = False
-        for i in range(1, n + 1):
-            a, b = state[i - 1], state[i]
-            if a < b:
-                below = sum(1 << s for s in state[i + 1 :])
-                state[i - 1], state[i] = b, a
-                letters.append(i)
-                found |= yield from visit(hit or (a, b, below) in failing)
-                letters.pop()
-                state[i - 1], state[i] = a, b
-        if not (hit or found):
-            clean.add(key)
-        return found
-
-    try:
-        yield from visit(False)
-    finally:
-        visit = None  # it holds itself, and with it the memo, in a cycle: free both now
-
-
 def _check_word(word: ReducedWord) -> list:
     """Check ``word`` on its own: its mismatch record for each label it
     fails, in label order.  An error raised on it is raised again as a
@@ -646,18 +588,15 @@ def verify_all(
     own, as in ``verify_theorem``, and an error raised on it is re-raised as
     a ValueError naming its letters.
 
-    When a configuration fails, an exhaustive run up to
-    ``_LISTED_MAX_RANK`` checks every word that meets a failing
-    configuration (``_failing_words``), in the order of their letters, as
-    each is found; above it, it checks one word per failing configuration
-    (``_witness``), in the order of the configurations.  An exhaustive run
-    takes n <= ``_EXHAUSTIVE_MAX_RANK`` and runs in this process, whatever
-    ``jobs`` says.  A sampled run is split into min(jobs, cores, count)
-    shares, one per process: share i of s holds the words i, i+s, i+2s, ...
-    (``_check_sample``).  The parent checks share 0 and starts one process
-    per other share, which sends back only its count and mismatch records;
-    the records are merged by index, so the report does not depend on
-    ``jobs``.  A process that dies or raises ends the run with a
+    When a configuration fails, an exhaustive run checks its witness word
+    (``_witness``), each distinct witness once, in the order of the
+    configurations.  An exhaustive run takes n <= ``_EXHAUSTIVE_MAX_RANK``
+    and runs in this process, whatever ``jobs`` says.  A sampled run is
+    split into min(jobs, cores, count) shares, one per process: share i of
+    s holds the words i, i+s, i+2s, ... (``_check_sample``).  The parent
+    checks share 0 and starts one process per other share, which sends back
+    only its count and mismatch records; the records are merged by index,
+    so the report does not depend on ``jobs``.  A process that dies or raises ends the run with a
     ValueError, and no process outlives the call.  A rank below 1, or a
     run that would check no word, raises ValueError before any process
     starts."""
@@ -671,12 +610,8 @@ def verify_all(
                 f"exhaustive verify takes rank at most {_EXHAUSTIVE_MAX_RANK}, got {n}: "
                 "its table of chamber columns would pass 1 GB"
             )
-        failing = _failing_triples(n)
-        if failing and n <= _LISTED_MAX_RANK:
-            listed = _failing_words(n, set(failing))
-        else:
-            listed = (_witness(n, *triple) for triple in failing)
-        mismatches = [record for word in listed for record in _check_word(word)]
+        witnesses = dict.fromkeys(_witness(n, *triple) for triple in _failing_triples(n))
+        mismatches = [record for word in witnesses for record in _check_word(word)]
         return VerifyReport(n=n, checked=reduced_word_count(n), mismatches=mismatches)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")

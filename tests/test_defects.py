@@ -11,7 +11,14 @@ import re
 import pytest
 from references import weight_vector
 from test_cone import ALIASING_COLUMNS, ALIASING_ROWS, TOP_BIT_COLUMNS, TOP_BIT_ROWS, packed
-from test_spanning import certify_no_leaf, chi_square, merge, plant_chamber_columns
+from test_spanning import (
+    certify_no_leaf,
+    check_each,
+    chi_square,
+    merge,
+    plant_chamber_columns,
+    witnesses,
+)
 from test_wiring import legality_disagreements
 
 from lusztig_cones import cone, spanning, wiring
@@ -56,22 +63,25 @@ def sets_of(word):
 
 
 def assert_every_word_reported(monkeypatch, planted):
-    """Plant ``planted`` as each chamber's column: exhaustive verify at n=4
-    must report every word, each record with its label, the planted column
-    as expected, the Bareiss column as got, and the chamber set, its
-    boundary and its partial quiver."""
+    """Plant ``planted`` as each chamber's column: every word at n=4,
+    checked on its own, must be reported, each record with its label, the
+    planted column as expected, the Bareiss column as got, and the chamber
+    set, its boundary and its partial quiver; exhaustive verify at n=4 must
+    report the records of the witness words of the failing configurations."""
     plant_chamber_columns(monkeypatch, planted)
-    report = spanning.verify_all(4)
-    assert report.checked == 768 and report.mismatches
+    records = check_each(enumerate_reduced_words(4))
     by_word = {}
-    for word, label, expected, got, _ in report.mismatches:
+    for word, label, expected, got, _ in records:
         by_word.setdefault(word, []).append((label, expected, got))
-    for word, records in by_word.items():
+    for word, labelled in by_word.items():
         span, sets = spanning_set(word), sets_of(word)
-        for label, expected, got in records:
+        for label, expected, got in labelled:
             assert expected == planted(sets[label], 4)
             assert got == span.vector(label) != expected
     assert len(by_word) == 768
+    report = spanning.verify_all(4)
+    assert report.checked == 768 and report.mismatches
+    assert report.mismatches == check_each(witnesses(4))
     for (word, label, expected, got, _), record in zip(
         report.mismatches, report.to_json()["mismatches"]
     ):
@@ -167,9 +177,21 @@ def test_shifted_chamber_set_is_reported_or_raises(monkeypatch):
             assert wrong and all(isinstance(v.label, ChamberLabel) for v in wrong)
             reported += 1
     assert raised and reported and raised + reported == 768
-    certify_no_leaf(monkeypatch)
     with pytest.raises(ValueError, match=r"^word \(1, 2, 1, 3, 2, 1, 4, 3, 2, 1\): .*chamber"):
-        spanning.verify_all(4)
+        check_each(enumerate_reduced_words(4))
+    assert_verify_raises_as_its_witnesses(monkeypatch, 4)
+
+
+def assert_verify_raises_as_its_witnesses(monkeypatch, n):
+    """With every configuration failing (``certify_no_leaf``), exhaustive
+    verify at rank n must raise the error that checking the witnesses in
+    order raises, naming the first witness that fails; that error."""
+    certify_no_leaf(monkeypatch)
+    with pytest.raises(ValueError) as first:
+        check_each(witnesses(n))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first.value))}$"):
+        spanning.verify_all(n)
+    return str(first.value)
 
 
 def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
@@ -198,9 +220,9 @@ def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
             assert report.word == word
             reported.append(word)
     assert raised and reported and len(raised) + len(reported) == len(changed)
-    certify_no_leaf(monkeypatch)
     with pytest.raises(ValueError, match=rf"^word {re.escape(str(raised[0].letters))}: "):
-        spanning.verify_all(4)
+        check_each(enumerate_reduced_words(4))
+    assert_verify_raises_as_its_witnesses(monkeypatch, 4)
 
 
 # Certificate defects.  A wrong certificate cannot make verify report a
@@ -209,8 +231,9 @@ def test_rows_without_above_crossings_are_reported_or_raise(monkeypatch):
 # Every guard passes on the package's certificate and fails on the
 # planted one, naming the word (and the label where verify reports one).
 # Each planted certificate takes packed columns, as the package's does.
-# The guards plant in the per-word layers, so the prefix tree certifies
-# no word while they run (``certify_no_leaf``).
+# The guards plant in the per-word layers, which the crossing check does
+# not read: each checks every word on its own (``check_each``), and verify
+# with every configuration failing (``certify_no_leaf``).
 
 
 def sums(rows, packed, width):
@@ -265,8 +288,9 @@ def top_bit_through(rows, packed, width):
 def guard_off_diagonal(monkeypatch, n):
     """Raise the last chamber column of every word by one at a root
     outside that chamber's row, so that M·V - I is nonzero only off the
-    diagonal; verify must report every word, with the label, the planted
-    column and the true one."""
+    diagonal; every word checked on its own must be reported, with the
+    label, the planted column and the true one, and verify must report
+    the witnesses' records."""
     real = spanning.formula_vectors
 
     def raised(n, chamber_list):
@@ -278,31 +302,36 @@ def guard_off_diagonal(monkeypatch, n):
         return columns
 
     monkeypatch.setattr(spanning, "formula_vectors", raised)
+    records = check_each(enumerate_reduced_words(n))
     certify_no_leaf(monkeypatch)
-    report = spanning.verify_all(n)
+    report, expected_report = spanning.verify_all(n), check_each(witnesses(n))
     monkeypatch.undo()
-    found = {word: (label, expected, got) for word, label, expected, got, _ in report.mismatches}
+    found = {word: (label, expected, got) for word, label, expected, got, _ in records}
     for word in enumerate_reduced_words(n):
         assert word in found, f"word {word.letters}: off-diagonal error not reported"
         label, expected, got = found[word]
         last = wiring.chambers(wiring.build_wiring(word))[-1]
         assert label == ChamberLabel(last.left_pos, last.right_pos)
         assert got == spanning_set(word).vector(label) != expected
-    assert len(report.mismatches) == report.checked
+    assert len(records) == len(found)
+    assert report.mismatches == expected_report and report.mismatches
 
 
 def assert_raises_naming_the_word(monkeypatch, n, message):
-    """verify_all(n), each word checked on its own, must raise on the first
-    word, with ``message``."""
-    certify_no_leaf(monkeypatch)
+    """Every word of rank n checked on its own must raise on the first
+    word, with ``message``; verify_all(n) must raise on the first witness.
+    Its error may differ: the planted columns of ``guard_negative_inverse``
+    pack to a negative integer on some words, which then fail to unpack."""
     try:
-        report = spanning.verify_all(n)
+        records = check_each(enumerate_reduced_words(n))
     except ValueError as exc:
         first = next(enumerate_reduced_words(n))
         assert str(exc).startswith(f"word {first.letters}: UnimodularityError")
         assert message in str(exc)
     else:
-        raise AssertionError(f"planted columns accepted: {report.to_json()}")
+        raise AssertionError(f"planted columns accepted: {records}")
+    error = assert_verify_raises_as_its_witnesses(monkeypatch, n)
+    assert error.startswith(f"word {witnesses(n)[0].letters}: ")
 
 
 def guard_negative_inverse(monkeypatch, n):

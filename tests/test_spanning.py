@@ -1,6 +1,5 @@
 import copy
 import functools
-import gc
 import itertools
 import json
 import math
@@ -10,7 +9,6 @@ import re
 import signal
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -295,7 +293,7 @@ def plain_walk(n):
     (word, certified).  It visits every node of the tree and certifies with
     one step per letter, from the root of ``spanning.rank_table(n)`` (which
     ``with_root`` may plant), without a memo: the word-level reference of
-    ``spanning._failing_words`` and ``spanning._lane_sums``.  ``opened``
+    ``spanning._failing_triples`` and ``spanning._lane_sums``.  ``opened``
     holds (left lane, ((lane, 1), ...)) per level."""
     table = spanning.rank_table(n)
     k, width, mask = table.k, table.width, table.mask
@@ -359,26 +357,29 @@ def plain_walk(n):
             return
 
 
-class Lookups(set):
-    """A set of failing configurations that counts the lookups of
-    ``spanning._failing_words`` in it, and raises once they pass ``bound``,
-    so that a search gone astray stops before it fills the memory."""
-
-    def __init__(self, triples, bound):
-        super().__init__(triples)
-        self.count, self.bound = 0, bound
-
-    def __contains__(self, triple):
-        self.count += 1
-        if self.count > self.bound:
-            raise RuntimeError(f"more than {self.bound} lookups")
-        return super().__contains__(triple)
+def meeting_failing_triples(n):
+    """The reduced words of rank n, in order, with a crossing whose
+    configuration (``crossing_triples``) is in ``spanning._failing_triples(n)``:
+    by the lemma of ``spanning``, the words that are not certified."""
+    failing = set(spanning._failing_triples(n))
+    return [
+        word for word in enumerate_reduced_words(n)
+        if any(t in failing for _, t in crossing_triples(word))
+    ]
 
 
-def listed_words(n):
-    """The words that ``spanning._failing_words`` lists from the failing
-    configurations of rank n."""
-    return list(spanning._failing_words(n, set(spanning._failing_triples(n))))
+def witnesses(n):
+    """The witness words of the failing configurations of rank n
+    (``spanning._witness``), each once, in the order of the first
+    configuration that gives it: the words a failing exhaustive run checks."""
+    return list(dict.fromkeys(spanning._witness(n, *t) for t in spanning._failing_triples(n)))
+
+
+def check_each(words_):
+    """The mismatch records of ``words_``, each word checked on its own
+    (``spanning._check_word``), in order; an error on a word raises the
+    ValueError that names it."""
+    return [record for word in words_ for record in spanning._check_word(word)]
 
 
 # (n, mode, count, words checked) of runs that certify every word by the
@@ -398,10 +399,11 @@ def every_triple(n):
 
 def certify_no_leaf(monkeypatch):
     """Make the crossing check and the single-word certificate certify no
-    word, so that ``verify_all`` checks every word on its own
-    (``_verdicts``), in both modes, through the per-word layers that a
-    defect may be planted in: every configuration fails, so an exhaustive
-    run lists every word (``_failing_words``)."""
+    word, so that ``verify_all`` checks words on its own (``_verdicts``),
+    through the per-word layers that a defect may be planted in: a sampled
+    run checks every word, and an exhaustive run, where every configuration
+    fails, checks the witness of each (``witnesses``).  A harness that needs
+    every word of a rank checked calls ``check_each`` on them."""
     monkeypatch.setattr(spanning, "_failing_triples", lambda n: list(every_triple(n)))
     monkeypatch.setattr(spanning, "_certified", lambda word: False)
 
@@ -852,33 +854,37 @@ class TestVerifyAll:
 
 
 class TestWalk:
-    """The exhaustive listing of failing words (``_failing_words``), a
-    search of the weak order with a memo per permutation, against the
-    reference walker ``plain_walk``, which certifies every word of the
-    prefix tree letter by letter."""
+    """The reference walker ``plain_walk``, which certifies every word of
+    the prefix tree letter by letter, against the crossing check and the
+    words a failing run checks on their own."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_yields_every_word_in_order_certified(self, n):
         walked = list(plain_walk(n))
         assert [w for w, _ in walked] == list(enumerate_reduced_words(n))
         assert all(certified for _, certified in walked)
-        assert listed_words(n) == []
-        # with every configuration failing, every word is listed, in order
-        every = list(spanning._failing_words(n, set(every_triple(n))))
-        assert every == [w for w, _ in walked]
+        assert spanning._failing_triples(n) == [] and witnesses(n) == []
 
     def test_certifies_every_word_from_few_states(self):
-        # with no failing configuration, up to n = 6, where the crossing
-        # check passes, the search lists no word and expands each of the
-        # (n+1)! permutations once: it looks up the configuration of each
-        # of their n·(n+1)!/2 lengthening letters once, where the plain walk
-        # expands 802402 nodes at n = 5
+        # up to n = 6, where the plain walk expands 802402 nodes at n = 5,
+        # the crossing check passes having read one column per bounded
+        # chamber set, each set with at least two boundary points, once
+        real, reads = spanning._packed_column, Counter()
+
+        def column(table, members):
+            reads[members] += 1
+            return real(table, members)
+
         for n in range(1, 7):
-            assert spanning._failing_triples(n) == []
-            lookups = n * math.factorial(n + 1) // 2
-            failing = Lookups((), lookups)
-            assert list(spanning._failing_words(n, failing)) == []
-            assert failing.count == lookups, n
+            reads.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(spanning, "_packed_column", column)
+                assert spanning._failing_triples(n) == [], n
+            bounded = [
+                members for members in range(2, 2 << n + 1, 2)
+                if is_chamber_set(strings_of(members), n)
+            ]
+            assert sorted(reads) == bounded and set(reads.values()) <= {1}, n
 
     def test_passing_run_checks_no_word_on_its_own(self, monkeypatch):
         calls = []
@@ -894,6 +900,9 @@ class TestWalk:
             assert (report.checked, report.mismatches, calls) == (checked, [], []), mode
 
     def test_certify_no_leaf_checks_every_word_on_its_own(self, monkeypatch):
+        # every word of a sample, and every word of a rank through
+        # ``check_each``; an exhaustive run checks the witness of each of
+        # the 80 configurations of n = 4, 46 distinct words, each once
         checked = []
         real = spanning._verdicts
 
@@ -905,6 +914,9 @@ class TestWalk:
         certify_no_leaf(monkeypatch)
         report = verify_all(4)
         assert (report.checked, report.mismatches) == (768, [])
+        assert checked == witnesses(4) and len(set(checked)) == 46
+        checked.clear()
+        assert check_each(enumerate_reduced_words(4)) == []
         assert checked == list(enumerate_reduced_words(4))
         checked.clear()
         report = verify_all(7, mode="sample", count=30, seed=2)
@@ -914,8 +926,8 @@ class TestWalk:
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_agrees_with_certify_inverse_under_a_planted_defect(self, monkeypatch, held, missing):
         # +1 in lane 0 of the columns of the sets that hold one string but
-        # not another: the listing, the reference walker and the per-word
-        # certificate reject the same words
+        # not another: the words meeting a failing configuration, the
+        # reference walker and the per-word certificate reject the same words
         real = spanning._packed_column
 
         def planted(table, members):
@@ -932,43 +944,13 @@ class TestWalk:
                 assert certified == cone.certify_inverse(rows, packed, width), word.letters
                 if not certified:
                     rejected.append(word)
-            assert listed_words(n) == rejected, n
+            assert meeting_failing_triples(n) == rejected, n
         assert 0 < len(rejected) < 768
-
-    def test_reaches_a_leaf_at_rank_22(self):
-        # the first crossing of the first word fails, so every word that
-        # starts with letter 1 is listed; the first of them comes 253
-        # letters deep, one generator frame per letter, without a
-        # RecursionError, after one lookup, and before any other word is
-        # found.  The lookups are bounded: a search that missed the first
-        # word would not end at this rank
-        n = 22
-        failing = Lookups({(1, 2, (1 << n + 2) - 8)}, 1000)  # 1, 2 above 3, ..., 23
-        word = next(spanning._failing_words(n, failing))
-        assert word == next(enumerate_reduced_words(n)) and word.k == 253
-        assert failing.count == 1
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_commuting_letters_reach_one_key(self, n):
-        # p·a·i and p·i·a, |a - i| >= 2, reach one permutation, the key of
-        # the search's memo, and cross the same two configurations; so the
-        # words listed from any failing set are closed under commutation
-        # moves.  Each configuration on its own up to n = 4, and at n = 5
-        # the strings 2 and 4 crossing above 5 and 6
-        triples = list(every_triple(n))
-        failing_sets = [{t} for t in triples] if n <= 4 else [{(2, 4, 1 << 5 | 1 << 6)}]
-        for failing in failing_sets:
-            listed = {word.letters for word in spanning._failing_words(n, failing)}
-            assert listed, failing  # realisation: every configuration is met
-            for letters in listed:
-                for t, (a, i) in enumerate(zip(letters, letters[1:])):
-                    if abs(a - i) >= 2:
-                        moved = letters[:t] + (i, a) + letters[t + 2 :]
-                        assert moved in listed, (failing, letters, t)
 
     def test_raising_column_names_the_first_word_below(self, monkeypatch):
         # a chamber set whose column raises leaves the words below it
-        # uncertified; the first of them, checked on its own, names the error
+        # uncertified; the witness of the first failing configuration,
+        # checked on its own, names the error
         real, bad = spanning._packed_column, frozenset({1, 3, 4})
 
         def column(table, members):
@@ -981,41 +963,13 @@ class TestWalk:
             w for w in enumerate_reduced_words(3)
             if bad in {c.chamber_set for c in wiring.chambers(wiring.build_wiring(w))}
         ]
-        assert listed_words(3) == holds == [w for w, certified in plain_walk(3) if not certified]
-        message = rf"^word {re.escape(str(holds[0].letters))}: ValueError: chamber \(\d+, \d+\): "
+        uncertified = [w for w, certified in plain_walk(3) if not certified]
+        assert meeting_failing_triples(3) == holds == uncertified
+        first = witnesses(3)[0]
+        assert first in holds
+        message = rf"^word {re.escape(str(first.letters))}: ValueError: chamber \(\d+, \d+\): "
         with pytest.raises(ValueError, match=message + "planted failure"):
             verify_all(3)
-
-    def test_memo_is_released_after_each_call(self):
-        # a memo kept alive past its call (a reference cycle, a cache) would
-        # raise the peak RSS of a process that lists often.  With the cyclic
-        # collector off, only reference counts free the memo.  The memory
-        # still allocated after a clean search at n = 6 (5040 permutations,
-        # about 350 kB if kept) is measured against the memory before it;
-        # so is the memory left after a listing is dropped at its first word,
-        # the way an error on that word's check drops it.  The strings 2 and
-        # 3 crossing above 4, 5 and 6 are first met after 4976 permutations
-        n, late = 6, (2, 3, 1 << 4 | 1 << 5 | 1 << 6)
-        assert list(spanning._failing_words(n, set())) == []  # the rank's table, built once
-        enabled = gc.isenabled()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert list(spanning._failing_words(n, set())) == []
-            kept = tracemalloc.get_traced_memory()[0] - before
-            before = tracemalloc.get_traced_memory()[0]
-            listing = spanning._failing_words(n, {late})
-            first = next(listing)
-            del listing
-            dropped = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            if enabled:
-                gc.enable()
-        assert late in {t for _, t in crossing_triples(first)}
-        assert kept < 16 << 10, f"{kept} bytes outlived the search"
-        assert dropped < 16 << 10, f"{dropped} bytes outlived the listing"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_and_columns_are_constant_on_a_commutation_class(self, n):
@@ -1119,9 +1073,8 @@ def defect_id(defect):
 class TestCrossings:
     """The exhaustive check (``spanning._failing_triples``): each crossing
     configuration (x, y, X) once, against the reference walker, which checks
-    each word; the words listed from the failing configurations
-    (``spanning._failing_words``); and the witness word of a configuration
-    (``spanning._witness``)."""
+    each word; the witness word of a configuration (``spanning._witness``);
+    and the records of a failing run, one check per distinct witness."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_witness_crosses_x_and_y_above_the_set(self, n):
@@ -1134,15 +1087,16 @@ class TestCrossings:
 
     @pytest.mark.parametrize("defect", HELD + [RAISE, NEGATIVE], ids=defect_id)
     def test_verdict_equals_the_walk_verdict(self, monkeypatch, defect):
-        # the reference walker's verdict up to n = 4; up to n = 6, whether
-        # the listing finds a word, which it stops at
+        # the reference walker's verdict up to n = 4; up to n = 6, the
+        # witness of every failing configuration fails the single-word
+        # certificate (realisation)
         plant(monkeypatch, defect)
         for n in range(1, 7):
             failing = spanning._failing_triples(n)
-            first = next(spanning._failing_words(n, set(failing)), None)
             if n <= 4:
-                assert first == next(iter(walked_uncertified(defect, n)), None), n
-            assert (first is None) == (not failing), n
+                assert (not failing) == (not walked_uncertified(defect, n)), n
+            for triple in failing:
+                assert not spanning._certified(spanning._witness(n, *triple)), (n, triple)
         assert failing
 
     @pytest.mark.parametrize(
@@ -1167,9 +1121,12 @@ class TestCrossings:
         ids=lambda x: defect_id(x) if isinstance(x, tuple) else f"to-n{x}",
     )
     def test_failing_words_are_the_uncertified_words_of_the_walk(self, monkeypatch, defect, ranks):
-        # word for word and in order; ("weight", x, y) starts lane (x, y) at
-        # weight 4 in the root of rank 4 alone (``with_root``), so that its
-        # column weighs 8 where all four sets around it are bounded
+        # the lemma's "iff", word for word and in order: the words with a
+        # crossing whose configuration fails (``meeting_failing_triples``)
+        # are those the reference walker does not certify; ("weight", x, y)
+        # starts lane (x, y) at weight 4 in the root of rank 4 alone
+        # (``with_root``), so that its column weighs 8 where all four sets
+        # around it are bounded
         if defect[0] == "weight":
             n, (_, x, y) = ranks, defect
             with_root(monkeypatch, n, weight=[(spanning.rank_table(n).lane[x][y], 4)])
@@ -1178,7 +1135,7 @@ class TestCrossings:
             plant(monkeypatch, defect)
             expected = {n: walked_uncertified(defect, n) for n in range(1, ranks + 1)}
         for n, uncertified in expected.items():
-            assert listed_words(n) == uncertified, n
+            assert meeting_failing_triples(n) == uncertified, n
         assert uncertified
 
     @pytest.mark.parametrize("planted", [False, True])
@@ -1218,40 +1175,70 @@ class TestCrossings:
         assert spanning._failing_triples(n) == bounded
 
     def test_clean_run_builds_no_word(self, monkeypatch):
-        # neither the listing nor a witness nor a per-word check runs, and
-        # checked is the hook length count
+        # neither a witness nor a per-word check runs, and checked is the
+        # hook length count
         def called(name):
             def spy(*args):
                 raise AssertionError(f"{name} was called")
 
             return spy
 
-        for name in ("_failing_words", "_witness", "_check_word", "_verdicts"):
+        for name in ("_witness", "_check_word", "_verdicts"):
             monkeypatch.setattr(spanning, name, called(name))
         for n in range(1, 10):
             report = verify_all(n)
             assert (report.checked, report.mismatches) == (staircase_tableaux_count(n), []), n
 
-    def test_records_up_to_rank_7_list_every_failing_word(self, monkeypatch):
-        # each uncertified word is named, in the order of its letters
+    def test_records_up_to_rank_7_give_one_witness_per_distinct_word(self, monkeypatch):
+        # the records of each distinct witness, once, in the order of the
+        # configurations: 10 configurations of the planted set at n = 4
+        # give 8 words, all among those the walker does not certify; with
+        # every configuration failing, 80 give 46
         defect = ("set", frozenset({1, 2, 4}))
         plant(monkeypatch, defect)
-        uncertified = walked_uncertified(defect, 4)
-        assert 0 < len(uncertified) < 768
+        failing, distinct = spanning._failing_triples(4), witnesses(4)
+        assert (len(failing), len(distinct)) == (10, 8)
+        assert set(distinct) <= set(walked_uncertified(defect, 4))
         report = verify_all(4)
         assert report.checked == 768
-        assert report.mismatches == [r for w in uncertified for r in spanning._check_word(w)]
+        assert report.mismatches == check_each(distinct)
+        assert [r[0] for r in report.mismatches] == distinct
+        monkeypatch.setattr(spanning, "_failing_triples", lambda n: list(every_triple(n)))
+        distinct = witnesses(4)
+        assert len(distinct) == 46
+        assert verify_all(4).mismatches == check_each(distinct)
+
+    def test_failing_run_at_rank_7_checks_each_witness_once(self, monkeypatch):
+        # 28 failing configurations of the planted set give 27 distinct
+        # witnesses: one check each, not one per failing word
+        plant(monkeypatch, ("set", frozenset({1, 2, 4})))
+        failing, distinct = spanning._failing_triples(7), witnesses(7)
+        assert (len(failing), len(distinct)) == (28, 27)
+        checked, real = [], spanning._check_word
+
+        def count(word):
+            checked.append(word)
+            return real(word)
+
+        monkeypatch.setattr(spanning, "_check_word", count)
+        report = verify_all(7)
+        assert report.checked == 48608795688960 and not report.ok
+        assert checked == distinct
+        assert [r[0] for r in report.mismatches] == distinct
+        assert all(r[4]["chamber_set"] == [1, 2, 4] for r in report.mismatches)
 
     def test_records_above_rank_7_give_one_witness_per_failing_triple(self, monkeypatch):
+        # 36 failing configurations share 35 witnesses: each word is
+        # checked and named once
         plant(monkeypatch, ("set", frozenset({1, 2, 4})))
         failing = spanning._failing_triples(8)
         assert len(failing) == 36
-        witnesses = [spanning._witness(8, *t) for t in failing]
-        monkeypatch.setattr(spanning, "_failing_words", lambda n, failing: pytest.fail("listed"))
+        distinct = witnesses(8)
+        assert len(distinct) == 35 and set(distinct) == {spanning._witness(8, *t) for t in failing}
         report = verify_all(8)
         assert report.checked == 29258366996258488320
-        assert report.mismatches == [r for w in witnesses for r in spanning._check_word(w)]
-        assert {r[0] for r in report.mismatches} == set(witnesses)
+        assert report.mismatches == check_each(distinct)
+        assert [r[0] for r in report.mismatches] == distinct
         assert all(r[4]["chamber_set"] == [1, 2, 4] for r in report.mismatches)
 
     def test_raising_column_names_a_witness_above_rank_7(self, monkeypatch):
