@@ -31,11 +31,11 @@ certified when every acc_j is the unit 1 << width·j, every chamber column
 passes ``RankTable.mask`` (each entry below 2^b, b = width - 4) and no
 column of M weighs more than 7.  Then every digit of V·M - I is below
 2^(width-1) in absolute value, and acc_j = unit for every j proves
-V·M = I, as in ``cone.certify_inverse``.  A sampled word is read in two
-passes, one over its letters that fixes each chamber's column and the
-four regions around each crossing, one over its crossings that sums them
-(``_certified``).  A certified word builds no diagram, vector, label or
-verdict.
+V·M = I, as in ``cone.certify_inverse``.  A sampled word is read in one
+pass over its letters, each level keeping the column of its open region,
+fixed by its chamber set when it opens (the lemma below), and each
+crossing adding its four terms (``_certified``).  A certified word builds
+no diagram, vector, label or verdict.
 
 An exhaustive run checks each crossing configuration once, not each word
 (``_failing_triples``).  Lemma: let strings x < y cross at level i of a
@@ -61,8 +61,8 @@ second difference col(X ∪ {x, y}) - col(X ∪ {x}) - col(X ∪ {y}) +
 col(X) of the column map, over bounded sets; these are the chamber sets
 around a crossing of Berenstein, Fomin and Zelevinsky (1996).  A word's
 faults are its lanes that fail and its bounded regions whose column is
-faulty, and each such region is the left region of the crossing that
-closes it; so a word whose configurations all pass is certified, by the
+faulty, and each such region is the right region of the crossing that
+opens it; so a word whose configurations all pass is certified, by the
 soundness argument of ``_lane_sums``.  Conversely a failing configuration
 at one of its crossings makes that crossing's lane fail or one of its
 bounded regions faulty, so a word is certified iff none of its crossings
@@ -123,7 +123,7 @@ class RankTable:
     1 << width·j.  Before the first letter the simple rows and columns are
     in: ``acc`` and ``weight`` hold the column sums and weights of V·M,
     ``faults`` the simple columns that fail ``mask``, and ``below[i]`` the
-    strings under level i, as a bit mask.
+    strings under level i = 0, ..., n+1, as a bit mask.
     """
 
     def __init__(self, n: int):
@@ -146,7 +146,7 @@ class RankTable:
             weight[lane[j][j + 1]] += 1
         self.acc, self.weight = tuple(acc), tuple(weight)
         self.faults = sum(c & ~mask != 0 for c in self.simple)
-        self.below = tuple((1 << n + 2) - (2 << i) for i in range(n + 1))
+        self.below = tuple((1 << n + 2) - (2 << i) for i in range(n + 2))
         self.pieces = None  # filled by the rank's first column (``fill_pieces``)
 
     def fill_pieces(self) -> tuple:
@@ -274,15 +274,18 @@ def _verdicts(word: ReducedWord):
     """(verdicts, chambers) of the word, traced once.  A certified V is
     M^-1, and its own columns are the inverses.  Otherwise the rows are
     inverted exactly (``cone.checked_inverse``); if that gives V after all,
-    the certificate is at fault: CertificateError."""
+    the certificate is at fault: CertificateError.  V is unpacked only
+    after either check, so that a failing inverse raises its own error."""
     n, table = word.n, rank_table(word.n)
     chamber_list = wiring.chambers(wiring.build_wiring(word))
     rows, packed = cone.root_rows(n, chamber_list), formula_vectors(n, chamber_list)
     labels = cone.row_labels(n, chamber_list)
-    formulas = inverses = [table.vector(x) for x in packed]
-    if not cone.certify_inverse(rows, packed, table.width):
+    if cone.certify_inverse(rows, packed, table.width):
+        formulas = inverses = [table.vector(x) for x in packed]
+    else:
         _, columns = cone.checked_inverse(labels, rows)
         inverses = [RootVector(n, col) for col in columns]
+        formulas = [table.vector(x) for x in packed]
         if inverses == formulas:
             msg = "the certificate rejects the closed-form columns, but they equal the inverse"
             raise cone.CertificateError(f"{word.letters}: {msg}")
@@ -352,26 +355,33 @@ def _chamber_fields(members, n: int) -> dict:
 _EXHAUSTIVE_MAX_RANK = 20
 
 
+def _checked_column(table: RankTable, members: int) -> int | None:
+    """The column of a bounded set (``_packed_column``), or None, a fault, if
+    it raises or fails ``RankTable.mask``; the word's own check raises again."""
+    try:
+        column = _packed_column(table, members)
+    except Exception:
+        return None
+    return None if column & ~table.mask else column
+
+
 def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
     """(acc, weight, faults) of the certificate of ``word``, lane by lane:
     the column sums acc_j of V·M, the column weights w_j, and the faults:
     the lanes j with acc_j != ``RankTable.unit[j]``, those with w_j > 7,
-    the chambers whose column raises or fails ``RankTable.mask``, and the
-    simple columns that fail it (``RankTable.faults``).  The word is
-    certified iff there are none.
+    the chambers whose column is faulty (``_checked_column``), and the
+    simple columns that fail ``RankTable.mask`` (``RankTable.faults``).
+    The word is certified iff there are none.
 
-    Two passes.  Over the letters, each level keeps its open region, with
-    id 0 for its first, unbounded one.  Crossing t opens region t at its
-    level, its right region, and closes the region open there before, its
-    left region, if that one is bounded (id not 0): the chamber's column,
-    ``_packed_column`` of the strings under the level, is then fixed, or
-    is 0 and a fault if it raises or fails ``RankTable.mask``.  Each
-    crossing records its lane, its left region and the regions open one
-    level up and one level down.  Over the crossings, lane r of crossing t
-    then gets the four chamber terms of its column of V·M, col[up] +
-    col[down] - col[left] - col[t], and one weight for each of the four
-    that was closed; a region that nothing closed, the first or the last
-    of a level, is no chamber and adds 0 to both.  Every lane is crossed
+    One pass over the letters.  Each level keeps the column of its open
+    region and whether that region is bounded; its first region is not.
+    Crossing i of strings a < b opens its right region at level i, whose
+    set is ``below[i]`` ^ (1 << a | 1 << b); it is bounded iff the set
+    has at least two boundary points (module docstring), and only then is
+    its column read, once: 0 if it is faulty.  The crossing's lane gets
+    the four chamber terms of its column of V·M, col[i-1] + col[i+1] -
+    col[i] - col(right), and one weight for each of the four regions that
+    is bounded; levels 0 and n+1 have no region.  Every lane is crossed
     once, so acc and weight are complete.
 
     Soundness, as in ``cone.certify_inverse`` with b = width - 4:
@@ -384,33 +394,25 @@ def _lane_sums(word: ReducedWord) -> tuple[list, list, int]:
     The weights are counted, one per chamber term, not read off the shape
     of the rows, so the proof holds whatever the rows are.
     """
-    table = rank_table(word.n)
-    lane, below, mask = table.lane, list(table.below), table.mask
-    state = list(range(1, word.n + 2))
-    opened = [0] * (word.n + 2)  # level -> its open region
-    columns = [0] * (table.k + 1)  # region -> its column
-    closed = bytearray(table.k + 1)  # region -> 1 once closed
-    crossings, faults = [], table.faults
-    for t, i in enumerate(word.letters, 1):
+    n, table = word.n, rank_table(word.n)
+    lane, below, boundary = table.lane, list(table.below), (2 << n) - 2
+    acc, weight, faults = list(table.acc), list(table.weight), table.faults
+    state = list(range(1, n + 2))
+    col, bnd = [0] * (n + 2), [0] * (n + 2)  # level -> its open region's column, bounded flag
+    for i in word.letters:
         a, b = state[i - 1], state[i]
-        left = opened[i]
-        if left:
-            try:
-                column = _packed_column(table, below[i])
-            except Exception:  # raised again, naming the word, by its own check
-                column = None
-            if column is None or column & ~mask:
-                faults += 1
-                column = 0
-            columns[left], closed[left] = column, 1
-        crossings.append((lane[a][b], left, opened[i - 1], opened[i + 1]))
-        opened[i] = t
         state[i - 1], state[i] = b, a
-        below[i] ^= 1 << a | 1 << b
-    acc, weight = list(table.acc), list(table.weight)
-    for t, (r, left, up, down) in enumerate(crossings, 1):
-        acc[r] += columns[up] + columns[down] - columns[left] - columns[t]
-        weight[r] += closed[up] + closed[down] + closed[left] + closed[t]
+        below[i] = members = below[i] ^ (1 << a | 1 << b)
+        points = (members ^ members >> 1) & boundary  # ∂S, as in _packed_column
+        bounded = column = 0
+        if points & points - 1:
+            bounded, column = 1, _checked_column(table, members)
+            if column is None:
+                faults, column = faults + 1, 0
+        r = lane[a][b]
+        acc[r] += col[i - 1] + col[i + 1] - col[i] - column
+        weight[r] += bnd[i - 1] + bnd[i + 1] + bnd[i] + bounded
+        col[i], bnd[i] = column, bounded
     faults += sum(map(int.__ne__, acc, table.unit)) + sum(map((7).__lt__, weight))
     return acc, weight, faults
 
@@ -449,11 +451,8 @@ def _failing_triples(n: int) -> list[tuple[int, int, int]]:
         points = (members ^ members >> 1) & boundary  # ∂S, as in _packed_column
         if points & points - 1:
             bounded[members] = 1
-            try:
-                column = _packed_column(table, members)
-            except Exception:  # raised again, naming a word, by that word's own check
-                column = None
-            if column is None or column & ~table.mask:
+            column = _checked_column(table, members)
+            if column is None:
                 faulty.add(members)
             else:
                 columns[members] = column

@@ -319,9 +319,8 @@ def guard_off_diagonal(monkeypatch, n):
 
 def assert_raises_naming_the_word(monkeypatch, n, message):
     """Every word of rank n checked on its own must raise on the first
-    word, with ``message``; verify_all(n) must raise on the first witness.
-    Its error may differ: the planted columns of ``guard_negative_inverse``
-    pack to a negative integer on some words, which then fail to unpack."""
+    word, and verify_all(n) on the first witness, each a
+    UnimodularityError with ``message``."""
     try:
         records = check_each(enumerate_reduced_words(n))
     except ValueError as exc:
@@ -331,7 +330,8 @@ def assert_raises_naming_the_word(monkeypatch, n, message):
     else:
         raise AssertionError(f"planted columns accepted: {records}")
     error = assert_verify_raises_as_its_witnesses(monkeypatch, n)
-    assert error.startswith(f"word {witnesses(n)[0].letters}: ")
+    assert error.startswith(f"word {witnesses(n)[0].letters}: UnimodularityError")
+    assert message in error
 
 
 def guard_negative_inverse(monkeypatch, n):

@@ -293,8 +293,11 @@ def plain_walk(n):
     (word, certified).  It visits every node of the tree and certifies with
     one step per letter, from the root of ``spanning.rank_table(n)`` (which
     ``with_root`` may plant), without a memo: the word-level reference of
-    ``spanning._failing_triples`` and ``spanning._lane_sums``.  ``opened``
-    holds (left lane, ((lane, 1), ...)) per level."""
+    ``spanning._failing_triples`` and ``spanning._lane_sums``.  Unlike
+    ``_lane_sums``, which adds a chamber's column as the chamber opens, it
+    adds the column as the chamber closes: ``opened`` holds, per level, the
+    lane of its open region's left crossing and the (lane, 1) terms of the
+    crossings met one level up or down since."""
     table = spanning.rank_table(n)
     k, width, mask = table.k, table.width, table.mask
     unit = [1 << width * j for j in range(k)]
@@ -993,10 +996,12 @@ def crossing_triples(word):
     """(lane, (x, y, X)) of each crossing of ``word``, in order: the strings
     x < y that cross and the bit mask of the strings below them."""
     table, state = spanning.rank_table(word.n), list(range(1, word.n + 2))
+    lane, below = table.lane, list(table.below)  # level -> the strings under it
     for i in word.letters:
         x, y = state[i - 1], state[i]
-        yield table.lane[x][y], (x, y, mask_of(state[i + 1 :]))
+        yield lane[x][y], (x, y, below[i + 1])
         state[i - 1], state[i] = y, x
+        below[i] ^= 1 << x | 1 << y
 
 
 def faulty_columns(n):
@@ -1323,21 +1328,46 @@ class TestSweep:
         for word in random_words(n, count, 11):
             assert spanning._certified(word) is certified_by_certify_inverse(word) is True
 
-    @pytest.mark.parametrize("planted", [False, True])
-    def test_sweep_lane_sums_equal_the_column_sums_of_v_times_m(self, monkeypatch, planted):
+    @pytest.mark.parametrize(
+        "defect, faulty_words", [(None, 0), (("held", 2, 4), 560), (NEGATIVE, 171)],
+        ids=["clean", defect_id(("held", 2, 4)), defect_id(NEGATIVE)],
+    )
+    def test_sweep_lane_sums_equal_the_column_sums_of_v_times_m(
+        self, monkeypatch, defect, faulty_words
+    ):
         # not only the verdict: every acc_j, every w_j and the fault count
         # read off the four regions around each crossing equal those summed
         # over the entries of the root rows (``column_sums``), also where a
-        # planted column faults
-        if planted:
-            plant(monkeypatch, ("held", 2, 4))
+        # planted column is wrong or fails the mask; a chamber whose column
+        # fails the mask still weighs 1
+        if defect:
+            plant(monkeypatch, defect)
         sample = itertools.chain.from_iterable(map(enumerate_reduced_words, range(1, 5)))
         faulty = 0
         for word in itertools.chain(sample, random_words(7, 50, 13)):
             acc, weight, faults = spanning._lane_sums(word)
             assert (acc, weight, faults) == column_sums(word), word.letters
             faulty += faults > 0
-        assert (faulty > 0) is planted
+        assert faulty == faulty_words
+
+    @pytest.mark.parametrize("n, count", [(4, 100), (7, 100), (12, 40)])
+    def test_sweep_reads_each_chamber_column_once(self, monkeypatch, n, count):
+        # one column per bounded region, k - n in all, read as the region
+        # opens: the sets read are the word's chamber sets, so no unbounded
+        # set is ever read
+        real, read = spanning._packed_column, []
+
+        def column(table, members):
+            read.append(members)
+            return real(table, members)
+
+        monkeypatch.setattr(spanning, "_packed_column", column)
+        for word in random_words(n, count, 19):
+            read.clear()
+            assert spanning._certified(word)
+            chamber_list = wiring.chambers(wiring.build_wiring(word))
+            assert len(read) == word.k - n, word.letters
+            assert sorted(read) == sorted(c.mask for c in chamber_list), word.letters
 
     @pytest.mark.parametrize("held, missing", [(2, 4), (4, 2), (1, 3)])
     def test_sweep_agrees_under_a_planted_defect(self, monkeypatch, held, missing):
